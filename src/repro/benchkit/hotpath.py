@@ -1,11 +1,12 @@
 """Hot-path benchmark harness for the real solver.
 
-Measures what the workspace refactor is supposed to buy: steps/second and
-steady-state allocation behaviour of :class:`repro.spectral.NavierStokesSolver`
-with and without the :class:`repro.spectral.SpectralWorkspace`, across
-transform backends and grid sizes.  The heavy sweep lives in
-``benchmarks/test_solver_hotpath.py`` (``bench`` marker, excluded from
-tier-1); a tiny smoke test exercises this module inside tier-1.
+Measures what the workspace hot path buys: steps/second and steady-state
+allocation behaviour of :class:`repro.spectral.NavierStokesSolver`, across
+transform backends and grid sizes, against an allocating baseline solver
+the caller supplies (the test suite's ``tests/allocating_rk.py`` oracle).
+The heavy sweep lives in ``benchmarks/test_solver_hotpath.py`` (``bench``
+marker, excluded from tier-1); a tiny smoke test exercises this module
+inside tier-1.
 
 The JSON emitted by :func:`write_json` has one record per (n, scheme,
 backend, workspace) combination::
@@ -25,7 +26,7 @@ import json
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,44 +63,33 @@ class HotpathResult:
         return self.peak_alloc_bytes >= self.fullgrid_bytes
 
 
-def benchmark_solver(
+def _measure(
+    solver_cls: Callable,
     n: int,
-    scheme: str = "rk2",
-    backend: str = "numpy",
-    use_workspace: bool = True,
-    steps: int = 5,
-    warmup: int = 2,
+    scheme: str,
+    backend: str,
+    workspace: bool,
+    steps: int,
+    warmup: int,
+    trace_alloc: bool,
     nu: float = 0.02,
     dt: float = 1e-3,
     phase_shift: bool = True,
     diagnostics_every: int = 0,
     seed: int = 0,
-    trace_alloc: bool = True,
 ) -> HotpathResult:
-    """Time ``steps`` solver steps after ``warmup`` and record allocations.
-
-    Diagnostics are off by default so the measurement isolates the RHS +
-    time-advance pipeline (the part the workspace rewrites); pass
-    ``diagnostics_every=1`` to measure the user-facing default instead.
-    """
-    from repro.spectral import (
-        NavierStokesSolver,
-        SolverConfig,
-        SpectralGrid,
-        random_isotropic_field,
-    )
+    from repro.spectral import SolverConfig, SpectralGrid, random_isotropic_field
 
     grid = SpectralGrid(n)
     rng = np.random.default_rng(seed)
-    solver = NavierStokesSolver(
+    solver = solver_cls(
         grid,
         random_isotropic_field(grid, rng, energy=1.0),
         SolverConfig(
             nu=nu,
             scheme=scheme,
             phase_shift=phase_shift,
-            use_workspace=use_workspace,
-            fft_backend=backend if use_workspace else "numpy",
+            fft_backend=backend,
             diagnostics_every=diagnostics_every,
         ),
     )
@@ -121,8 +111,8 @@ def benchmark_solver(
     return HotpathResult(
         n=n,
         scheme=scheme,
-        backend=backend if use_workspace else "numpy",
-        workspace=use_workspace,
+        backend=backend,
+        workspace=workspace,
         steps=steps,
         warmup=warmup,
         steps_per_sec=steps / elapsed,
@@ -132,7 +122,35 @@ def benchmark_solver(
     )
 
 
+def benchmark_solver(
+    n: int,
+    scheme: str = "rk2",
+    backend: str = "numpy",
+    steps: int = 5,
+    warmup: int = 2,
+    nu: float = 0.02,
+    dt: float = 1e-3,
+    phase_shift: bool = True,
+    diagnostics_every: int = 0,
+    seed: int = 0,
+    trace_alloc: bool = True,
+) -> HotpathResult:
+    """Time ``steps`` solver steps after ``warmup`` and record allocations.
+
+    Diagnostics are off by default so the measurement isolates the RHS +
+    time-advance pipeline (the part the workspace rewrites); pass
+    ``diagnostics_every=1`` to measure the user-facing default instead.
+    """
+    from repro.spectral import NavierStokesSolver
+
+    return _measure(
+        NavierStokesSolver, n, scheme, backend, True, steps, warmup,
+        trace_alloc, nu, dt, phase_shift, diagnostics_every, seed,
+    )
+
+
 def run_suite(
+    baseline: Callable,
     grid_sizes: Sequence[int] = (32, 64),
     schemes: Sequence[str] = ("rk2", "rk4"),
     backends: Optional[Sequence[str]] = None,
@@ -140,11 +158,14 @@ def run_suite(
     warmup: int = 2,
     trace_alloc: bool = True,
 ) -> dict:
-    """Sweep legacy vs. workspace across grids/schemes/backends.
+    """Sweep an allocating baseline vs. the workspace solver across
+    grids/schemes/backends.
 
-    Returns a JSON-serializable payload with a ``results`` record list and a
-    ``speedups`` summary (workspace steps/sec over legacy, same n/scheme,
-    per backend).
+    ``baseline`` is a solver class ``cls(grid, u_hat, config)`` with
+    ``step(dt)``, timed on the ``numpy`` backend as the ``workspace: false``
+    record of each (n, scheme) point.  Returns a JSON-serializable payload
+    with a ``results`` record list and a ``speedups`` summary (workspace
+    steps/sec over the baseline's, same n/scheme, per backend).
     """
     from repro.spectral import available_backends
 
@@ -154,25 +175,22 @@ def run_suite(
     results: list[HotpathResult] = []
     for n in grid_sizes:
         for scheme in schemes:
-            results.append(
-                benchmark_solver(
-                    n, scheme, use_workspace=False, steps=steps,
-                    warmup=warmup, trace_alloc=trace_alloc,
-                )
-            )
+            results.append(_measure(
+                baseline, n, scheme, "numpy", False, steps, warmup, trace_alloc
+            ))
             for backend in backends:
                 results.append(
                     benchmark_solver(
-                        n, scheme, backend=backend, use_workspace=True,
-                        steps=steps, warmup=warmup, trace_alloc=trace_alloc,
+                        n, scheme, backend=backend, steps=steps,
+                        warmup=warmup, trace_alloc=trace_alloc,
                     )
                 )
 
-    legacy = {
+    reference = {
         (r.n, r.scheme): r.steps_per_sec for r in results if not r.workspace
     }
     speedups = {
-        f"n{r.n}-{r.scheme}-{r.backend}": r.steps_per_sec / legacy[(r.n, r.scheme)]
+        f"n{r.n}-{r.scheme}-{r.backend}": r.steps_per_sec / reference[(r.n, r.scheme)]
         for r in results
         if r.workspace
     }

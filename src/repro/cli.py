@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transform backend (auto: $REPRO_FFT_BACKEND or numpy)")
     p.add_argument("--diagnostics-every", type=int, default=1,
                    help="compute energy/dissipation every K steps (0: never)")
-    p.add_argument("--legacy", action="store_true",
-                   help="use the pre-workspace allocating step (baseline)")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write a chrome://tracing JSON of the run's spans")
     p.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -628,7 +626,6 @@ def _run_dns(args, grid, run, events, flight) -> int:
         random_isotropic_field(grid, rng, energy=1.0),
         SolverConfig(
             nu=args.nu,
-            use_workspace=not args.legacy,
             fft_backend=args.fft_backend,
             diagnostics_every=args.diagnostics_every,
         ),
@@ -663,7 +660,6 @@ def _run_dns(args, grid, run, events, flight) -> int:
         "steps": args.steps,
         "nu": args.nu,
         "fft_backend": args.fft_backend,
-        "workspace": not args.legacy,
     }
     if args.report:
         from repro.obs import render_breakdown, render_percentiles
@@ -754,7 +750,8 @@ def _cmd_dns_distributed(args, grid, rng, obs, run=None) -> int:
             grid,
             comm,
             random_isotropic_field(grid, rng, energy=1.0),
-            SolverConfig(nu=args.nu, fft_backend=args.fft_backend),
+            SolverConfig(nu=args.nu, fft_backend=args.fft_backend,
+                         diagnostics_every=args.diagnostics_every),
             obs=obs,
             npencils=args.npencils,
             pipeline=args.pipeline,

@@ -250,7 +250,8 @@ class SlabGridView:
 
     Slices every broadcastable spectral-space array along kz so the
     distributed solver can apply masks, projections and integrating factors
-    locally to its kz-slab.
+    locally to its kz-slab; a ``SpectralWorkspace`` over a view serves
+    slab-shaped buffers and integrating factors.
     """
 
     def __init__(self, grid: SpectralGrid, decomp: SlabDecomposition, rank: int):
@@ -260,6 +261,14 @@ class SlabGridView:
         self.decomp = decomp
         self.rank = rank
         self._zslice = decomp.spectral_slice(rank)
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        return (self._zslice.stop - self._zslice.start, *self.grid.spectral_shape[1:])
+
+    @property
+    def cdtype(self) -> np.dtype:
+        return self.grid.cdtype
 
     @property
     def kx(self) -> np.ndarray:

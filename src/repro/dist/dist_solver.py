@@ -6,7 +6,8 @@ coefficients live in kz-slabs, each RK substage transforms the three
 velocity components to physical space (y, transpose, z, x), forms the six
 nonlinear products on y-slabs, and transforms them back (x, z, transpose,
 y) — so each substage costs 3 inverse + 6 forward distributed 3-D FFTs and
-therefore 9 all-to-alls in conservative form.
+therefore 9 all-to-alls in conservative form.  The time advance is the
+serial solver's stepper (:mod:`repro.spectral.stepper`), one block per rank.
 
 Given identical seeds the distributed solver reproduces the single-process
 solver bit-for-bit up to floating-point reassociation (tests assert
@@ -23,18 +24,23 @@ import numpy as np
 from repro.dist.decomp import SlabDecomposition, SlabGridView
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
-from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
+from repro.obs import NULL_OBS
+from repro.spectral.dealias import sharp_truncation_mask
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.solver import SolverConfig, StepResult
+from repro.spectral.solver import RKSolverBase, SolverConfig, StepResult
+from repro.spectral.stepper import Block
+from repro.spectral.workspace import SpectralWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = ["DistributedNavierStokesSolver"]
 
+#: The six distinct products u_i u_j of the conservative form.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
-class DistributedNavierStokesSolver:
+
+class DistributedNavierStokesSolver(RKSolverBase):
     """Slab-decomposed RK2/RK4 pseudo-spectral integrator.
 
     Parameters
@@ -47,8 +53,9 @@ class DistributedNavierStokesSolver:
         global field keeps tests crisp.)
     config:
         Shares :class:`~repro.spectral.solver.SolverConfig` with the serial
-        solver, including the phase-shift RNG seed, so both produce the same
-        trajectory.
+        solver, including the phase-shift RNG seed and
+        ``diagnostics_every``, so both produce the same trajectory.  Only
+        the conservative convective form is distributed.
     obs:
         An :class:`~repro.obs.Observability` bundle.  Collective stages
         record spans on the main lane; rank-local work records into one
@@ -115,6 +122,11 @@ class DistributedNavierStokesSolver:
         self.comm = comm
         self.config = config or SolverConfig()
         self.obs = obs if obs is not None else NULL_OBS
+        if self.config.convective_form != "conservative":
+            raise ValueError(
+                "the distributed solver only implements "
+                "convective_form='conservative'"
+            )
         if heights is not None and skew is not None:
             raise ValueError("pass either heights or skew, not both")
         if skew is not None:
@@ -161,6 +173,11 @@ class DistributedNavierStokesSolver:
             )
         self.decomp: SlabDecomposition = self.fft.decomp
         self.views = [SlabGridView(grid, self.decomp, r) for r in range(comm.size)]
+        # One workspace per rank slab: the stepper's scratch buffers and the
+        # memoized integrating factors, each over that rank's kz-slab.
+        self._rank_workspaces = [
+            SpectralWorkspace(view, backend="numpy") for view in self.views
+        ]
         self._rank_spans = [
             self.obs.spans.child("local") for _ in range(comm.size)
         ]
@@ -180,13 +197,10 @@ class DistributedNavierStokesSolver:
             local = np.array(u_hat_global[:, sl], dtype=grid.cdtype, copy=True)
             local *= self._mask_locals[r]
             self.u_hat.append(local)
-        self._project_state()
+        for u, view in zip(self.u_hat, self.views):
+            self._project_local(u, view)
         self.time = 0.0
         self.step_count = 0
-        # Per-rank integrating factors, memoized by dt (the serial solver
-        # memoizes through its SpectralWorkspace; ranks cache locally here
-        # because each holds a different kz-slab of exp(-nu k^2 dt)).
-        self._factor_cache: dict[float, list[np.ndarray]] = {}
 
     def close(self) -> None:
         """Release engine resources (stops out-of-core stream workers)."""
@@ -202,22 +216,17 @@ class DistributedNavierStokesSolver:
 
     # -- local spectral operations ------------------------------------------
 
-    def _project_local(self, v: np.ndarray, view: SlabGridView) -> np.ndarray:
+    def _project_local(self, v: np.ndarray, view: SlabGridView) -> None:
+        """Project ``v`` onto the divergence-free subspace, in place."""
         kx, ky, kz = view.kx, view.ky, view.kz
         k_dot_v = kx * v[0] + ky * v[1] + kz * v[2]
         k_dot_v /= view.k_squared_nonzero
-        out = np.empty_like(v)
-        out[0] = v[0] - kx * k_dot_v
-        out[1] = v[1] - ky * k_dot_v
-        out[2] = v[2] - kz * k_dot_v
-        if view.owns_mean_mode:
-            out[:, 0, 0, 0] = v[:, 0, 0, 0]
-        return out
-
-    def _project_state(self) -> None:
-        self.u_hat = [
-            self._project_local(u, v) for u, v in zip(self.u_hat, self.views)
-        ]
+        mean_mode = v[:, 0, 0, 0].copy() if view.owns_mean_mode else None
+        v[0] -= kx * k_dot_v
+        v[1] -= ky * k_dot_v
+        v[2] -= kz * k_dot_v
+        if mean_mode is not None:
+            v[:, 0, 0, 0] = mean_mode
 
     def _shift_factor_local(self, view: SlabGridView, shift: np.ndarray) -> np.ndarray:
         phase = view.kx * shift[0] + view.ky * shift[1] + view.kz * shift[2]
@@ -225,150 +234,83 @@ class DistributedNavierStokesSolver:
 
     # -- the distributed nonlinear term -----------------------------------------
 
-    def _nonlinear(self, u_hat: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Projected, dealiased conservative convective term, per rank."""
+    def _nonlinear(
+        self, u_hat: Sequence[np.ndarray], out: Sequence[np.ndarray]
+    ) -> None:
+        """Projected, dealiased conservative convective term, written into
+        the per-rank arrays ``out``."""
         cfg = self.config
         obs = self.obs
+        size = self.comm.size
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        shift = None
+        shift_locals = shift_conj = None
         if cfg.phase_shift:
             shift = self._rng.uniform(0.0, self.grid.dx, size=3)
-        shift_locals = (
-            [self._shift_factor_local(v, shift) for v in self.views]
-            if shift is not None
-            else None
-        )
+            shift_locals = [self._shift_factor_local(v, shift) for v in self.views]
+            shift_conj = [np.conj(f) for f in shift_locals]
 
         # Velocity components to physical space (3 inverse distributed FFTs).
         u_phys: list[list[np.ndarray]] = []  # [component][rank]
         for c in range(3):
-            comp = [u_hat[r][c] for r in range(self.comm.size)]
+            comp = [u_hat[r][c] for r in range(size)]
             if shift_locals is not None:
-                comp = [comp[r] * shift_locals[r] for r in range(self.comm.size)]
+                comp = [comp[r] * shift_locals[r] for r in range(size)]
             u_phys.append(self.fft.inverse(comp))
 
-        # Six products, transformed back (6 forward distributed FFTs).
-        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        prod_hat: dict[tuple[int, int], list[np.ndarray]] = {}
-        for i, j in pairs:
+        # Six products, transformed back (6 forward distributed FFTs).  Each
+        # is folded into the components it feeds as soon as it arrives, so
+        # only one is held at a time: component c accumulates
+        # k_d (u_c u_d)_hat in the order d = 0, 1, 2.
+        for i, j in _PAIRS:
             with obs.spans.span("nl.products", category="nonlinear"):
-                prod_phys = [
-                    u_phys[i][r] * u_phys[j][r] for r in range(self.comm.size)
-                ]
+                prod_phys = [u_phys[i][r] * u_phys[j][r] for r in range(size)]
             ph = self.fft.forward(prod_phys)
-            if shift_locals is not None:
-                ph = [ph[r] * np.conj(shift_locals[r]) for r in range(self.comm.size)]
-            prod_hat[(i, j)] = ph
-            prod_hat[(j, i)] = ph
+            feeds = ((i, j), (j, i)) if i != j else ((i, j),)
+            for r, view in enumerate(self.views):
+                with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
+                    if shift_conj is not None:
+                        ph[r] *= shift_conj[r]
+                    k = (view.kx, view.ky, view.kz)
+                    for c, d in feeds:
+                        if d == 0:
+                            np.multiply(k[0], ph[r], out=out[r][c])
+                        else:
+                            out[r][c] += k[d] * ph[r]
 
-        out: list[np.ndarray] = []
         for r, view in enumerate(self.views):
-            rank_spans = self._rank_spans[r]
-            with rank_spans.span("nl.assemble", category="nonlinear"):
-                k = (view.kx, view.ky, view.kz)
-                nl = np.empty_like(u_hat[r])
-                for i in range(3):
-                    acc = k[0] * prod_hat[(i, 0)][r]
-                    acc += k[1] * prod_hat[(i, 1)][r]
-                    acc += k[2] * prod_hat[(i, 2)][r]
-                    nl[i] = -1j * acc
+            nl = out[r]
+            with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
+                np.multiply(-1j, nl, out=nl)
                 nl *= self._mask_locals[r]
-            with rank_spans.span("nl.project", category="projection"):
-                out.append(self._project_local(nl, view))
-        return out
+            with self._rank_spans[r].span("nl.project", category="projection"):
+                self._project_local(nl, view)
 
     # -- time stepping ------------------------------------------------------------
 
-    def _integrating_factor_local(self, view: SlabGridView, dt: float) -> np.ndarray:
-        return np.exp(-self.config.nu * view.k_squared * dt).astype(self.grid.dtype)
+    def _blocks(self) -> list[Block]:
+        nu = self.config.nu
+        return [Block(u, nu, ws) for u, ws in zip(self.u_hat, self._rank_workspaces)]
 
-    def _integrating_factors(self, dt: float) -> list[np.ndarray]:
-        """Per-rank exp(-nu k^2 dt), memoized by dt (read-only)."""
-        factors = self._factor_cache.get(dt)
-        if factors is None:
-            if len(self._factor_cache) >= 32:
-                self._factor_cache.pop(next(iter(self._factor_cache)))
-            factors = [
-                self._integrating_factor_local(v, dt) for v in self.views
-            ]
-            self._factor_cache[dt] = factors
-        return factors
+    def _rhs(self, stages, outs) -> None:
+        self._nonlinear(stages, outs)  # reads the first comm.size blocks
+
+    def _step_span_meta(self, dt: float) -> dict:
+        return {**super()._step_span_meta(dt), "ranks": self.comm.size}
+
+    def _energy_dissipation(self) -> tuple[float, float]:
+        return self.kinetic_energy(), self.dissipation_rate()
 
     def step(self, dt: float) -> StepResult:
-        """Advance one RK2 or RK4 step (same schemes as the serial solver)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        obs = self.obs
-        with (obs.spans.span("solver.step", category="step", n=self.grid.n,
-                             ranks=self.comm.size, scheme=self.config.scheme)
-              if obs.enabled else NULL_SPAN) as step_span:
-            if self.config.scheme == "rk2":
-                self._step_rk2(dt)
-                evals = 2
-            else:
-                self._step_rk4(dt)
-                evals = 4
-            self.time += dt
-            self.step_count += 1
-            with obs.spans.span("diagnostics.energy", category="diagnostics"):
-                energy = self.kinetic_energy()
-                dissipation = self.dissipation_rate()
-        if obs.enabled:
-            obs.metrics.counter("solver.steps").inc()
-            obs.metrics.histogram("solver.step.seconds").observe(
-                step_span.duration
-            )
+        """Advance one RK2 or RK4 step (same stepper as the serial solver)."""
+        result = super().step(dt)
+        if self.obs.enabled:
             # Fold each rank's local spans into the shared timeline, one
             # lane prefix per rank (Tracer.merge keeps them distinct).
             for r, rank_spans in enumerate(self._rank_spans):
-                obs.spans.merge(rank_spans, lane_prefix=f"rank{r}.")
+                self.obs.spans.merge(rank_spans, lane_prefix=f"rank{r}.")
                 rank_spans.clear()
-        return StepResult(
-            time=self.time,
-            dt=dt,
-            energy=energy,
-            dissipation=dissipation,
-            nonlinear_evals=evals,
-        )
-
-    def _step_rk2(self, dt: float) -> None:
-        spans = self.obs.spans
-        e_full = self._integrating_factors(dt)
-        with spans.span("rk2.stage1", category="stage"):
-            r1 = self._nonlinear(self.u_hat)
-            u_star = [
-                e_full[r] * (self.u_hat[r] + dt * r1[r])
-                for r in range(self.comm.size)
-            ]
-        with spans.span("rk2.stage2", category="stage"):
-            r2 = self._nonlinear(u_star)
-            self.u_hat = [
-                e_full[r] * (self.u_hat[r] + (0.5 * dt) * r1[r]) + (0.5 * dt) * r2[r]
-                for r in range(self.comm.size)
-            ]
-
-    def _step_rk4(self, dt: float) -> None:
-        size = self.comm.size
-        e_half = self._integrating_factors(0.5 * dt)
-        e_full = self._integrating_factors(dt)
-        u0 = self.u_hat
-        k1 = self._nonlinear(u0)
-        k2 = self._nonlinear(
-            [e_half[r] * (u0[r] + (0.5 * dt) * k1[r]) for r in range(size)]
-        )
-        k3 = self._nonlinear(
-            [e_half[r] * u0[r] + (0.5 * dt) * k2[r] for r in range(size)]
-        )
-        k4 = self._nonlinear(
-            [e_full[r] * u0[r] + dt * (e_half[r] * k3[r]) for r in range(size)]
-        )
-        self.u_hat = [
-            e_full[r] * u0[r]
-            + (dt / 6.0)
-            * (e_full[r] * k1[r] + 2.0 * e_half[r] * (k2[r] + k3[r]) + k4[r])
-            for r in range(size)
-        ]
+        return result
 
     # -- global diagnostics (allreduce over ranks) -----------------------------
 

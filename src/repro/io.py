@@ -11,7 +11,7 @@ restart matches the run that wrote it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -126,7 +126,10 @@ def load_checkpoint(
                     f"L={header['length']:.6g} {header['dtype']}"
                 )
 
-        cfg_meta = dict(header["config"])
+        # Keep only the options SolverConfig still has: checkpoints written
+        # by older versions carry options that have since been retired.
+        known = {f.name for f in fields(SolverConfig)}
+        cfg_meta = {k: v for k, v in header["config"].items() if k in known}
         from repro.spectral.dealias import DealiasRule
 
         cfg_meta["dealias"] = DealiasRule(cfg_meta["dealias"])

@@ -34,16 +34,19 @@ def _mul_components(v: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
 
     A single broadcast ufunc over the component axis can fall back to
     numpy's buffered (allocating) iteration; per-component same-shape calls
-    never do, and the arithmetic is identical.
+    never do, and the arithmetic is identical.  A ``v`` shaped like
+    ``factor`` (a scalar field) is one component.
     """
+    if v.ndim == factor.ndim:
+        np.multiply(v, factor, out=out)
+        return
     for i in range(out.shape[0]):
         np.multiply(v[i], factor, out=out[i])
 
 
 def _imul_components(v: np.ndarray, factor: np.ndarray) -> None:
     """``v[i] *= factor`` one component at a time (see `_mul_components`)."""
-    for i in range(v.shape[0]):
-        v[i] *= factor
+    _mul_components(v, factor, out=v)
 
 
 def _check_vector(v_hat: np.ndarray, grid: SpectralGrid) -> None:

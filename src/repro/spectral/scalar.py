@@ -13,10 +13,11 @@ where ``D = nu / Sc`` is the scalar diffusivity (Schmidt number ``Sc``) and
 with the velocity sustains scalar fluctuations — the standard configuration
 for stationary scalar mixing studies.
 
-The scalar advances with the same RK2/RK4 + integrating-factor machinery as
-the velocity; the advection term ``div(u theta)`` is formed pseudo-
-spectrally (one extra inverse + three... one forward transform set per
-scalar per substage) and dealiased with the solver's mask.
+Each scalar is one more block of the shared integrating-factor RK stepper
+(:mod:`repro.spectral.stepper`), advanced in the same stages as the
+velocity; the advection term ``div(u theta)`` is formed pseudo-spectrally
+(four inverse and three forward transforms per scalar per stage) and
+dealiased with the solver's mask.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
-from repro.spectral.transforms import fft3d, ifft3d
+from repro.spectral.stepper import Block
 from repro.spectral.workspace import SpectralWorkspace
 
 __all__ = ["PassiveScalar", "ScalarMixingSolver", "scalar_spectrum", "scalar_variance"]
@@ -88,8 +88,8 @@ class ScalarMixingSolver:
     """Couples :class:`NavierStokesSolver` with passive-scalar transport.
 
     The velocity field evolves exactly as in the plain solver (the scalar
-    is passive); each scalar is advanced with the matching scheme, using
-    the *same* velocity stage values, so the coupled update retains the
+    is passive); each scalar is advanced in the same RK stages, using the
+    *same* velocity stage values, so the coupled update retains the
     scheme's formal order.
 
     Examples
@@ -116,13 +116,13 @@ class ScalarMixingSolver:
         workspace: Optional[SpectralWorkspace] = None,
     ):
         self.grid = grid
-        self.flow = NavierStokesSolver(grid, u_hat, config, forcing, workspace)
+        self.flow = _ScalarCarryingFlow(self, grid, u_hat, config, forcing, workspace)
         self.config = self.flow.config
         # Scalars share the flow solver's workspace: one buffer arena and
         # one integrating-factor cache for the whole coupled system.
         self.workspace = self.flow.workspace
         self.scalars: list[PassiveScalar] = []
-        self._mask = sharp_truncation_mask(grid, self.config.dealias)
+        self._mask = self.flow._mask
 
     # -- scalar management ---------------------------------------------------
 
@@ -147,110 +147,57 @@ class ScalarMixingSolver:
     # -- right-hand side ----------------------------------------------------
 
     def _scalar_rhs(
-        self, theta_hat: np.ndarray, u_hat: np.ndarray, scalar: PassiveScalar
-    ) -> np.ndarray:
-        """-(div(u theta))_hat - G u_y, dealiased (diffusion is exact).
-
-        Transforms and products run in workspace scratch buffers when the
-        flow solver carries a workspace; the returned rhs array itself is
-        fresh (RK stages keep several alive at once).
-        """
-        grid = self.grid
-        kx, ky, kz = grid.k_vectors
+        self,
+        theta_hat: np.ndarray,
+        u_hat: np.ndarray,
+        scalar: PassiveScalar,
+        out: np.ndarray,
+    ) -> None:
+        """-(div(u theta))_hat - G u_y, dealiased, into ``out`` (diffusion
+        is exact); transforms and products run in workspace buffers."""
         ws = self.workspace
-        if ws is not None:
-            kxc, kyc, kzc = ws.wavenumbers_c
-            u = ws.physical("sc_u", 3)
-            for i in range(3):
-                ws.ifft3d(u_hat[i], out=u[i])
-            theta = ws.ifft3d(theta_hat, out=ws.physical("sc_theta"))
-            prod = ws.physical("sc_prod")
-            ph = ws.spectral("sc_ph")
-            tmp = ws.spectral("sc_tmp")
-            rhs = np.empty_like(theta_hat)
-            np.multiply(u[0], theta, out=prod)
-            np.multiply(kxc, ws.fft3d(prod, out=ph), out=rhs)
-            for k, i in ((kyc, 1), (kzc, 2)):
-                np.multiply(u[i], theta, out=prod)
-                np.multiply(k, ws.fft3d(prod, out=ph), out=tmp)
-                rhs += tmp
-            rhs *= -1j
-        else:
-            u = np.stack([ifft3d(u_hat[i], grid) for i in range(3)])
-            theta = ifft3d(theta_hat, grid)
-            flux_hat = [fft3d(u[i] * theta, grid) for i in range(3)]
-            rhs = -1j * (kx * flux_hat[0] + ky * flux_hat[1] + kz * flux_hat[2])
-        rhs *= self._mask
+        kxc, kyc, kzc = ws.wavenumbers_c
+        u = ws.physical("sc_u", 3)
+        for i in range(3):
+            ws.ifft3d(u_hat[i], out=u[i])
+        theta = ws.ifft3d(theta_hat, out=ws.physical("sc_theta"))
+        prod = ws.physical("sc_prod")
+        ph = ws.spectral("sc_ph")
+        tmp = ws.spectral("sc_tmp")
+        np.multiply(u[0], theta, out=prod)
+        np.multiply(kxc, ws.fft3d(prod, out=ph), out=out)
+        for k, i in ((kyc, 1), (kzc, 2)):
+            np.multiply(u[i], theta, out=prod)
+            np.multiply(k, ws.fft3d(prod, out=ph), out=tmp)
+            out += tmp
+        out *= -1j
+        out *= self._mask
         if scalar.mean_gradient != 0.0:
-            rhs -= scalar.mean_gradient * u_hat[1]
-        return rhs
-
-    def _factor(self, coefficient: float, dt: float) -> np.ndarray:
-        """Integrating factor, memoized through the shared workspace."""
-        if self.workspace is not None:
-            return self.workspace.integrating_factor(coefficient, dt)
-        return np.exp(-coefficient * self.grid.k_squared * dt).astype(self.grid.dtype)
+            np.multiply(scalar.mean_gradient, u_hat[1], out=tmp)
+            out -= tmp
 
     # -- time stepping ---------------------------------------------------------
 
     def step(self, dt: float):
         """Advance velocity and all scalars by one step (RK2 or RK4)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.config.scheme == "rk2":
-            self._step_rk2(dt)
-        else:
-            self._step_rk4(dt)
-        return self.flow.step(dt)  # velocity advances with its own machinery
+        return self.flow.step(dt)
 
-    def _step_rk2(self, dt: float) -> None:
-        """Heun for the scalars, using velocity stage values u^n and u*.
 
-        The velocity predictor u* is recomputed here with the same formula
-        the flow solver uses; phase-shift RNG states differ between the two
-        paths only if phase shifting is enabled, so exact order-matching
-        tests use ``phase_shift=False``.
-        """
-        u_n = self.flow.u_hat
-        e_flow = self._factor(self.config.nu, dt)
-        r_u = self.flow._nonlinear(u_n)
-        u_star = e_flow * (u_n + dt * r_u)
-        for scalar in self.scalars:
-            d = scalar.diffusivity(self.config.nu)
-            e_s = self._factor(d, dt)
-            r1 = self._scalar_rhs(scalar.theta_hat, u_n, scalar)
-            theta_star = e_s * (scalar.theta_hat + dt * r1)
-            r2 = self._scalar_rhs(theta_star, u_star, scalar)
-            scalar.theta_hat = (
-                e_s * (scalar.theta_hat + (0.5 * dt) * r1) + (0.5 * dt) * r2
-            )
+class _ScalarCarryingFlow(NavierStokesSolver):
+    """The velocity solver, advancing a mixer's scalars in the same stages."""
 
-    def _step_rk4(self, dt: float) -> None:
-        """Classic RK4 for the scalars with frozen-stage velocities.
+    def __init__(self, mixer: ScalarMixingSolver, *args):
+        super().__init__(*args)
+        self._mixer = mixer
 
-        Velocity stage values are reconstructed with the same integrating-
-        factor RK4 formulas as the flow solver.
-        """
-        cfg = self.config
-        u0 = self.flow.u_hat
-        e_half_u = self._factor(cfg.nu, 0.5 * dt)
-        e_full_u = self._factor(cfg.nu, dt)
-        k1u = self.flow._nonlinear(u0)
-        u2 = e_half_u * (u0 + (0.5 * dt) * k1u)
-        k2u = self.flow._nonlinear(u2)
-        u3 = e_half_u * u0 + (0.5 * dt) * k2u
-        k3u = self.flow._nonlinear(u3)
-        u4 = e_full_u * u0 + dt * (e_half_u * k3u)
+    def _blocks(self) -> list[Block]:
+        nu = self.config.nu
+        return super()._blocks() + [
+            Block(s.theta_hat, s.diffusivity(nu), self.workspace, key=f"sc{i}")
+            for i, s in enumerate(self._mixer.scalars)
+        ]
 
-        for scalar in self.scalars:
-            d = scalar.diffusivity(cfg.nu)
-            e_half = self._factor(d, 0.5 * dt)
-            e_full = self._factor(d, dt)
-            t0 = scalar.theta_hat
-            k1 = self._scalar_rhs(t0, u0, scalar)
-            k2 = self._scalar_rhs(e_half * (t0 + (0.5 * dt) * k1), u2, scalar)
-            k3 = self._scalar_rhs(e_half * t0 + (0.5 * dt) * k2, u3, scalar)
-            k4 = self._scalar_rhs(e_full * t0 + dt * (e_half * k3), u4, scalar)
-            scalar.theta_hat = e_full * t0 + (dt / 6.0) * (
-                e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
-            )
+    def _rhs(self, stages, outs) -> None:
+        super()._rhs(stages, outs)
+        for scalar, theta, out in zip(self._mixer.scalars, stages[1:], outs[1:]):
+            self._mixer._scalar_rhs(theta, stages[0], scalar, out)

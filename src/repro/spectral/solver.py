@@ -10,44 +10,28 @@ second- or fourth-order Runge-Kutta (RK2/RK4 — the paper reports RK2
 timings; RK4 "approximately doubles" the per-step cost, which the
 performance layer's ablation bench verifies).
 
-Two step implementations exist:
-
-* the **workspace** path (default): every stage writes into pre-allocated
-  :class:`~repro.spectral.workspace.SpectralWorkspace` buffers, integrating
-  factors are memoized by ``(nu, dt)``, and transforms go through the
-  configured backend — zero full-grid allocations at steady state;
-* the **legacy** path (``SolverConfig(use_workspace=False)``): the original
-  allocating expressions, kept as the reference implementation for the
-  regression tests and the hot-path benchmark baseline.
-
-Both produce identical trajectories to round-off.
+The step itself is the shared in-place stepper of
+:mod:`repro.spectral.stepper`: every stage writes into pre-allocated
+:class:`~repro.spectral.workspace.SpectralWorkspace` buffers, integrating
+factors are memoized by ``(nu, dt)``, and transforms go through the
+configured backend, so a steady-state step allocates no full-grid array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional
 
 import numpy as np
 
 from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import (
-    DealiasRule,
-    phase_shift_factor,
-    random_shift,
-    sharp_truncation_mask,
-)
+from repro.spectral.dealias import DealiasRule, random_shift, sharp_truncation_mask
 from repro.spectral.diagnostics import cfl_number, dissipation_rate, kinetic_energy
 from repro.spectral.forcing import Forcing, NoForcing
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.operators import (
-    _imul_components,
-    _mul_components,
-    nonlinear_conservative,
-    nonlinear_rotational,
-    project,
-)
+from repro.spectral.operators import nonlinear_conservative, nonlinear_rotational, project
+from repro.spectral.stepper import Block, rk_step
 from repro.spectral.workspace import SpectralWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,9 +62,6 @@ class SolverConfig:
         ``u_i u_j``) or ``"rotational"`` (u x omega, three products).
     seed:
         Seed for the random shifts.
-    use_workspace:
-        Route the step through the pre-allocated workspace hot path
-        (default).  ``False`` selects the legacy allocating implementation.
     fft_backend:
         Transform backend name (``"auto"``, ``"numpy"``, ``"scipy"``,
         ``"fftw"``); ``"auto"`` consults ``REPRO_FFT_BACKEND``.
@@ -97,7 +78,6 @@ class SolverConfig:
     phase_shift: bool = True
     convective_form: Literal["conservative", "rotational"] = "conservative"
     seed: int = 2019
-    use_workspace: bool = True
     fft_backend: str = "auto"
     diagnostics_every: int = 1
 
@@ -127,7 +107,54 @@ class StepResult:
     nonlinear_evals: int
 
 
-class NavierStokesSolver:
+class RKSolverBase:
+    """The step the serial and distributed solvers share.
+
+    One :func:`~repro.spectral.stepper.rk_step` over the subclass's
+    ``_blocks()`` and ``_rhs(stages, outs)``, then ``_post_step(dt)``, the
+    clock, ``_energy_dissipation()`` every ``config.diagnostics_every``
+    steps, and the step's span and metrics.
+    """
+
+    def _step_span_meta(self, dt: float) -> dict:
+        return {"n": self.grid.n, "scheme": self.config.scheme, "dt": dt}
+
+    def _post_step(self, dt: float) -> None:
+        pass
+
+    def step(self, dt: float) -> StepResult:
+        """Advance one time step of size ``dt``."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        obs = self.obs
+        spans = obs.spans
+        with (spans.span("solver.step", category="step",
+                         **self._step_span_meta(dt))
+              if obs.enabled else NULL_SPAN) as step_span:
+            evals = rk_step(self.config.scheme, dt, self._blocks(), self._rhs, spans)
+            self._post_step(dt)
+            self.time += dt
+            self.step_count += 1
+            energy = dissipation = math.nan
+            every = self.config.diagnostics_every
+            if every > 0 and self.step_count % every == 0:
+                with spans.span("diagnostics.energy", category="diagnostics"):
+                    energy, dissipation = self._energy_dissipation()
+        if obs.enabled:
+            obs.metrics.counter("solver.steps").inc()
+            obs.metrics.histogram("solver.step.seconds").observe(
+                step_span.duration
+            )
+        return StepResult(
+            time=self.time,
+            dt=dt,
+            energy=energy,
+            dissipation=dissipation,
+            nonlinear_evals=evals,
+        )
+
+
+class NavierStokesSolver(RKSolverBase):
     """Pseudo-spectral Navier-Stokes integrator on a periodic cube.
 
     Parameters
@@ -187,240 +214,69 @@ class NavierStokesSolver:
         self._rng = np.random.default_rng(self.config.seed)
         self._mask = sharp_truncation_mask(grid, self.config.dealias)
         self._nl_evals = 0
-        if self.config.use_workspace:
-            self.workspace = workspace or SpectralWorkspace(
-                grid, backend=self.config.fft_backend, obs=self.obs
-            )
-            if workspace is not None and obs is not None:
-                # A caller-shared workspace reports into this solver's obs.
-                self.workspace.obs = self.obs
-                self.workspace.pool.obs = self.obs
-        else:
-            self.workspace = workspace
+        self.workspace = workspace or SpectralWorkspace(
+            grid, backend=self.config.fft_backend, obs=self.obs
+        )
+        if workspace is not None and obs is not None:
+            # A caller-shared workspace reports into this solver's obs.
+            self.workspace.obs = self.obs
+            self.workspace.pool.obs = self.obs
         # Dealias the initial condition so invariants hold from step 0.
         self.u_hat *= self._mask
         project(self.u_hat, grid, out=self.u_hat)
 
     # -- right-hand side -----------------------------------------------------
 
-    def _nonlinear(
-        self, u_hat: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Projected, dealiased nonlinear term (+ forcing rhs).
-
-        With the workspace enabled the result is written into ``out`` (a
-        fresh array is allocated when ``out`` is None, e.g. for the scalar
-        solver's stage reconstruction); the legacy path always allocates.
-        """
+    def _nonlinear(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Projected, dealiased nonlinear term (+ forcing rhs), into ``out``."""
         cfg = self.config
-        ws = self.workspace if cfg.use_workspace else None
+        ws = self.workspace
         obs = self.obs
         spans = obs.spans
         self._nl_evals += 1
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        if ws is not None:
-            # The "nonlinear" span brackets transforms + products; the
-            # transforms record their own nested "fft" spans, so this
-            # category's *exclusive* time is pure product/assembly work.
-            with spans.span("rhs.nonlinear", category="nonlinear"):
-                shift = None
-                if cfg.phase_shift:
-                    shift = ws.phase_shift(random_shift(self.grid, self._rng))
-                if out is None:
-                    out = np.empty_like(u_hat)
-                if cfg.convective_form == "conservative":
-                    nl = nonlinear_conservative(
-                        u_hat, self.grid, mask=self._mask, shift=shift,
-                        workspace=ws, out=out,
-                    )
-                else:
-                    nl = nonlinear_rotational(
-                        u_hat, self.grid, mask=self._mask, shift=shift,
-                        workspace=ws, out=out,
-                    )
-            with spans.span("rhs.projection", category="projection"):
-                rhs = project(nl, self.grid, out=nl, workspace=ws)
-        else:
-            with spans.span("rhs.nonlinear", category="nonlinear"):
-                shift = None
-                if cfg.phase_shift:
-                    shift = phase_shift_factor(
-                        self.grid, random_shift(self.grid, self._rng)
-                    )
-                if cfg.convective_form == "conservative":
-                    nl = nonlinear_conservative(
-                        u_hat, self.grid, mask=self._mask, shift=shift
-                    )
-                else:
-                    nl = nonlinear_rotational(
-                        u_hat, self.grid, mask=self._mask, shift=shift
-                    )
-            with spans.span("rhs.projection", category="projection"):
-                rhs = project(nl, self.grid, out=nl)
+        # The "nonlinear" span brackets transforms + products; the
+        # transforms record their own nested "fft" spans, so this
+        # category's *exclusive* time is pure product/assembly work.
+        with spans.span("rhs.nonlinear", category="nonlinear"):
+            shift = None
+            if cfg.phase_shift:
+                shift = ws.phase_shift(random_shift(self.grid, self._rng))
+            form = (
+                nonlinear_conservative
+                if cfg.convective_form == "conservative"
+                else nonlinear_rotational
+            )
+            nl = form(u_hat, self.grid, mask=self._mask, shift=shift,
+                      workspace=ws, out=out)
+        with spans.span("rhs.projection", category="projection"):
+            rhs = project(nl, self.grid, out=nl, workspace=ws)
         with spans.span("rhs.forcing", category="forcing"):
             f = self.forcing.rhs(u_hat, self.grid)
             if f is not None:
                 rhs += f
         return rhs
 
-    def _integrating_factor(self, dt: float) -> np.ndarray:
-        """exp(-nu k^2 dt) over the spectral shape (memoized when the
-        workspace is enabled; treat the returned array as read-only)."""
-        with self.obs.spans.span("integrating_factor", category="integrating"):
-            if self.config.use_workspace and self.workspace is not None:
-                return self.workspace.integrating_factor(self.config.nu, dt)
-            return np.exp(-self.config.nu * self.grid.k_squared * dt).astype(
-                self.grid.dtype
-            )
+    def _blocks(self) -> list[Block]:
+        """The fields one step advances: the velocity, read from ``u_hat``
+        every step (a checkpoint restart rebinds it)."""
+        return [Block(self.u_hat, self.config.nu, self.workspace)]
 
-    # -- schemes -----------------------------------------------------------------
+    def _rhs(self, stages, outs) -> None:
+        self._nonlinear(stages[0], out=outs[0])
 
-    def _step_rk2(self, dt: float) -> None:
-        """Heun's method on the integrating-factor-transformed variable.
+    def _post_step(self, dt: float) -> None:
+        with self.obs.spans.span("forcing.post_step", category="forcing"):
+            self.forcing.post_step(self.u_hat, self.grid, dt)
 
-        With ``E = exp(-nu k^2 dt)``::
-
-            u*      = E (u^n + dt R(u^n))
-            u^{n+1} = E u^n + dt/2 ( E R(u^n) + R(u*) )
-
-        Each step starts and ends in Fourier space, exactly as the paper
-        describes its RK substages.  Every stage updates workspace buffers
-        (or, the final one, ``self.u_hat``) in place.
-        """
-        ws = self.workspace
-        spans = self.obs.spans
-        e_full = self._integrating_factor(dt)
-        with spans.span("rk2.stage1", category="stage"):
-            r1 = self._nonlinear(self.u_hat, out=ws.spectral("rk_r1", 3))
-            u_star = ws.spectral("rk_stage", 3)
-            np.multiply(r1, dt, out=u_star)
-            u_star += self.u_hat
-            _imul_components(u_star, e_full)
-        with spans.span("rk2.stage2", category="stage"):
-            r2 = self._nonlinear(u_star, out=ws.spectral("rk_r2", 3))
-            u = self.u_hat
-            r1 *= 0.5 * dt
-            u += r1
-            _imul_components(u, e_full)
-            r2 *= 0.5 * dt
-            u += r2
-
-    def _step_rk4(self, dt: float) -> None:
-        """Classic RK4 with the exact viscous integrating factor, in place."""
-        ws = self.workspace
-        spans = self.obs.spans
-        e_half = self._integrating_factor(0.5 * dt)
-        e_full = self._integrating_factor(dt)
-        u0 = self.u_hat
-        u_s = ws.spectral("rk_stage", 3)
-        tmp = ws.spectral("rk_tmp", 3)
-
-        with spans.span("rk4.stage1", category="stage"):
-            k1 = self._nonlinear(u0, out=ws.spectral("rk_k1", 3))
-            np.multiply(k1, 0.5 * dt, out=u_s)
-            u_s += u0
-            _imul_components(u_s, e_half)
-        with spans.span("rk4.stage2", category="stage"):
-            k2 = self._nonlinear(u_s, out=ws.spectral("rk_k2", 3))
-            np.multiply(k2, 0.5 * dt, out=u_s)
-            _mul_components(u0, e_half, out=tmp)
-            u_s += tmp
-        with spans.span("rk4.stage3", category="stage"):
-            k3 = self._nonlinear(u_s, out=ws.spectral("rk_k3", 3))
-            _mul_components(k3, e_half, out=u_s)
-            u_s *= dt
-            _mul_components(u0, e_full, out=tmp)
-            u_s += tmp
-        with spans.span("rk4.stage4", category="stage"):
-            k4 = self._nonlinear(u_s, out=ws.spectral("rk_k4", 3))
-
-            # u <- e_full u0 + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4)
-            k2 += k3
-            _imul_components(k2, e_half)
-            k2 *= 2.0
-            _imul_components(k1, e_full)
-            k1 += k2
-            k1 += k4
-            k1 *= dt / 6.0
-            _imul_components(u0, e_full)
-            u0 += k1
-
-    # -- legacy (allocating) schemes ------------------------------------------
-
-    def _step_rk2_legacy(self, dt: float) -> None:
-        """The pre-workspace RK2: full-grid temporaries at every stage.
-
-        Kept verbatim as the reference implementation the regression tests
-        and the hot-path benchmark compare against.
-        """
-        e_full = self._integrating_factor(dt)
-        r1 = self._nonlinear(self.u_hat)
-        u_star = e_full * (self.u_hat + dt * r1)
-        r2 = self._nonlinear(u_star)
-        self.u_hat = e_full * (self.u_hat + (0.5 * dt) * r1) + (0.5 * dt) * r2
-
-    def _step_rk4_legacy(self, dt: float) -> None:
-        """The pre-workspace RK4 (reference implementation)."""
-        e_half = self._integrating_factor(0.5 * dt)
-        e_full = e_half * e_half
-        u0 = self.u_hat
-        k1 = self._nonlinear(u0)
-        k2 = self._nonlinear(e_half * (u0 + (0.5 * dt) * k1))
-        k3 = self._nonlinear(e_half * u0 + (0.5 * dt) * k2)
-        k4 = self._nonlinear(e_full * u0 + dt * (e_half * k3))
-        self.u_hat = e_full * u0 + (dt / 6.0) * (
-            e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
+    def _energy_dissipation(self) -> tuple[float, float]:
+        return (
+            kinetic_energy(self.u_hat, self.grid),
+            dissipation_rate(self.u_hat, self.grid, self.config.nu),
         )
 
     # -- public API -----------------------------------------------------------
-
-    def step(self, dt: float) -> StepResult:
-        """Advance one time step of size ``dt``."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        obs = self.obs
-        spans = obs.spans
-        evals_before = self._nl_evals
-        with (spans.span("solver.step", category="step", n=self.grid.n,
-                         scheme=self.config.scheme, dt=dt)
-              if obs.enabled else NULL_SPAN) as step_span:
-            if self.config.use_workspace:
-                if self.config.scheme == "rk2":
-                    self._step_rk2(dt)
-                else:
-                    self._step_rk4(dt)
-            else:
-                if self.config.scheme == "rk2":
-                    self._step_rk2_legacy(dt)
-                else:
-                    self._step_rk4_legacy(dt)
-            with spans.span("forcing.post_step", category="forcing"):
-                self.forcing.post_step(self.u_hat, self.grid, dt)
-            self.time += dt
-            self.step_count += 1
-            every = self.config.diagnostics_every
-            if every > 0 and self.step_count % every == 0:
-                with spans.span("diagnostics.energy", category="diagnostics"):
-                    energy = kinetic_energy(self.u_hat, self.grid)
-                    dissipation = dissipation_rate(
-                        self.u_hat, self.grid, self.config.nu
-                    )
-            else:
-                energy = math.nan
-                dissipation = math.nan
-        if obs.enabled:
-            obs.metrics.counter("solver.steps").inc()
-            obs.metrics.histogram("solver.step.seconds").observe(
-                step_span.duration
-            )
-        return StepResult(
-            time=self.time,
-            dt=dt,
-            energy=energy,
-            dissipation=dissipation,
-            nonlinear_evals=self._nl_evals - evals_before,
-        )
 
     def run(self, nsteps: int, dt: float) -> list[StepResult]:
         """Advance ``nsteps`` steps; returns the per-step records."""
@@ -436,9 +292,9 @@ class NavierStokesSolver:
         """
         if cfl <= 0:
             raise ValueError("cfl must be positive")
-        ws = self.workspace if self.config.use_workspace else None
         with self.obs.spans.span("diagnostics.cfl", category="diagnostics"):
-            trial = cfl_number(self.u_hat, self.grid, dt=1.0, workspace=ws)
+            trial = cfl_number(self.u_hat, self.grid, dt=1.0,
+                               workspace=self.workspace)
         if trial == 0:
             return np.inf
         return cfl / trial

@@ -456,6 +456,9 @@ class SpectralWorkspace:
     A workspace may be shared between solvers on the same grid (e.g. the
     velocity and passive-scalar integrators) as long as they run
     sequentially — buffers are namespaced by string keys, not locked.
+
+    Over a rank's :class:`~repro.dist.decomp.SlabGridView` the spectral
+    buffers and integrating factors cover that rank's kz-slab.
     """
 
     def __init__(

@@ -15,10 +15,11 @@ from repro.benchkit.hotpath import (
     write_json,
     write_metrics_jsonl,
 )
+from tests.allocating_rk import AllocatingSolver
 
 
 def test_benchmark_solver_smoke():
-    r = benchmark_solver(16, "rk2", use_workspace=True, steps=2, warmup=1)
+    r = benchmark_solver(16, "rk2", steps=2, warmup=1)
     assert r.n == 16
     assert r.workspace
     assert r.steps_per_sec > 0
@@ -29,17 +30,21 @@ def test_benchmark_solver_smoke():
 
 
 def test_benchmark_solver_legacy_smoke():
-    r = benchmark_solver(16, "rk2", use_workspace=False, steps=1, warmup=1)
-    assert not r.workspace
-    assert r.backend == "numpy"
-    assert r.steps_per_sec > 0
+    payload = run_suite(AllocatingSolver, grid_sizes=(16,), schemes=("rk2",),
+                        backends=(), steps=1, warmup=1)
+    (r,) = payload["results"]
+    assert not r["workspace"]
+    assert r["backend"] == "numpy"
+    assert r["steps_per_sec"] > 0
+    # The allocating oracle is the baseline because it does allocate.
+    assert r["peak_alloc_bytes"] >= r["fullgrid_bytes"]
 
 
 def test_run_suite_smoke(tmp_path):
-    payload = run_suite(grid_sizes=(16,), schemes=("rk2",),
+    payload = run_suite(AllocatingSolver, grid_sizes=(16,), schemes=("rk2",),
                         backends=("numpy",), steps=1, warmup=1,
                         trace_alloc=False)
-    # One legacy + one workspace record, and the speedup keyed as documented.
+    # One baseline + one workspace record, and the speedup keyed as documented.
     assert len(payload["results"]) == 2
     assert set(payload["speedups"]) == {"n16-rk2-numpy"}
     assert payload["speedups"]["n16-rk2-numpy"] > 0
@@ -74,7 +79,7 @@ def test_write_json_caller_provenance_wins(tmp_path):
 
 
 def test_suite_emits_metric_records(tmp_path):
-    payload = run_suite(grid_sizes=(16,), schemes=("rk2",),
+    payload = run_suite(AllocatingSolver, grid_sizes=(16,), schemes=("rk2",),
                         backends=("numpy",), steps=1, warmup=1,
                         trace_alloc=False)
     records = payload["metrics"]

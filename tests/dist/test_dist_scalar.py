@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dist.dist_scalar import DistributedScalarMixingSolver
+from repro.dist.dist_solver import DistributedNavierStokesSolver
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field
@@ -83,23 +84,25 @@ class TestMechanics:
         dist.step(0.01)
         assert dist.scalar_variance(0) > 0
 
-    def test_extra_alltoalls_per_scalar(self, grid16):
-        """Each scalar adds 4 transform sets per RK2 stage pair: per step
-        2 stages x (1 theta inverse + 3 velocity inverse reused? no — the
-        scalar RHS does 3 u-inverse + 1 theta-inverse + 3 flux-forward = 7
-        transforms, twice per step, plus the base solver's 18."""
+    @pytest.mark.parametrize("scheme, stages", [("rk2", 2), ("rk4", 4)])
+    def test_extra_alltoalls_per_scalar(self, grid16, scheme, stages):
+        """Each scalar's RHS transforms the three velocity components and
+        the scalar to physical space and the three fluxes back: 7 slab
+        transforms, one all-to-all each, per RK stage, on top of the base
+        solver's 9 per stage."""
         rng = np.random.default_rng(0)
         u0 = random_isotropic_field(grid16, rng, energy=0.5)
-        cfg = SolverConfig(nu=0.05, phase_shift=False)
+        cfg = SolverConfig(nu=0.05, scheme=scheme, phase_shift=False)
         plain = DistributedScalarMixingSolver(grid16, VirtualComm(2), u0, cfg)
         plain.step(0.005)
         base = plain.comm.stats.count("alltoall")
+        assert base == 9 * stages
 
         withs = DistributedScalarMixingSolver(grid16, VirtualComm(2), u0, cfg)
         withs.add_scalar(grid16.zeros_spectral(), mean_gradient=1.0)
         withs.step(0.005)
         extra = withs.comm.stats.count("alltoall") - base
-        assert extra > 10  # scalar stages are communication-hungry
+        assert extra == 7 * stages
 
     def test_validation(self, grid16):
         rng = np.random.default_rng(0)
@@ -113,3 +116,34 @@ class TestMechanics:
             dist.add_scalar(grid16.zeros_spectral(), schmidt=0.0)
         with pytest.raises(ValueError):
             dist.step(0.0)
+
+
+class TestVelocityUnaffectedByScalars:
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    @pytest.mark.parametrize("phase_shift", [True, False])
+    def test_velocity_bit_identical_to_plain_solver(self, grid16, scheme, phase_shift):
+        rng = np.random.default_rng(4)
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        theta0 = fft3d(rng.standard_normal(grid16.physical_shape), grid16)
+        cfg = dict(nu=0.05, scheme=scheme, phase_shift=phase_shift, seed=9)
+        plain = DistributedNavierStokesSolver(
+            grid16, VirtualComm(2), u0, SolverConfig(**cfg)
+        )
+        mixer = DistributedScalarMixingSolver(
+            grid16, VirtualComm(2), u0, SolverConfig(**cfg)
+        )
+        mixer.add_scalar(theta0, schmidt=2.0, mean_gradient=1.0)
+        for _ in range(2):
+            plain.step(0.01)
+            mixer.step(0.01)
+        assert np.array_equal(mixer.gather_state(), plain.gather_state())
+
+    @pytest.mark.parametrize("scheme, evals", [("rk2", 2), ("rk4", 4)])
+    def test_one_velocity_rhs_per_stage(self, grid16, scheme, evals):
+        rng = np.random.default_rng(0)
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        mixer = DistributedScalarMixingSolver(
+            grid16, VirtualComm(2), u0, SolverConfig(nu=0.05, scheme=scheme)
+        )
+        mixer.add_scalar(grid16.zeros_spectral(), mean_gradient=1.0)
+        assert mixer.step(0.01).nonlinear_evals == evals

@@ -132,3 +132,30 @@ class TestCommunicationCounts:
         _, dist = pair(grid16, taylor_green_field(grid16), ranks=2)
         with pytest.raises(ValueError):
             dist.step(-0.01)
+
+
+class TestHonoursSolverConfig:
+    def test_diagnostics_every_zero_reports_nan(self, grid16, rng):
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        serial, dist = pair(grid16, u0, ranks=2, diagnostics_every=0)
+        rs, rd = serial.step(0.005), dist.step(0.005)
+        assert np.isnan(rs.energy) and np.isnan(rs.dissipation)
+        assert np.isnan(rd.energy) and np.isnan(rd.dissipation)
+
+    def test_diagnostics_every_k_matches_serial_cadence(self, grid16, rng):
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        serial, dist = pair(grid16, u0, ranks=2, diagnostics_every=2)
+        for _ in range(4):
+            rs, rd = serial.step(0.005), dist.step(0.005)
+            assert np.isnan(rs.energy) == np.isnan(rd.energy)
+            if not np.isnan(rs.energy):
+                assert rd.energy == pytest.approx(rs.energy, rel=1e-12)
+                assert rd.dissipation == pytest.approx(rs.dissipation, rel=1e-12)
+        assert dist.step_count == 4
+
+    def test_rotational_form_rejected(self, grid16):
+        with pytest.raises(ValueError, match="conservative"):
+            DistributedNavierStokesSolver(
+                grid16, VirtualComm(2), taylor_green_field(grid16),
+                SolverConfig(convective_form="rotational"),
+            )

@@ -19,6 +19,7 @@ from repro.spectral import (
     random_isotropic_field,
 )
 from repro.spectral.diagnostics import cfl_number
+from tests.allocating_rk import AllocatingSolver
 
 
 def make_solver(n=16, obs=None, **cfg):
@@ -93,10 +94,10 @@ class TestCflWorkspacePath:
         assert fast == pytest.approx(legacy, rel=1e-12)
 
     def test_stable_dt_matches_between_paths(self):
-        s_ws = make_solver(use_workspace=True)
-        s_legacy = make_solver(use_workspace=False)
+        s_ws = make_solver()
+        oracle = AllocatingSolver(s_ws.grid, s_ws.u_hat, s_ws.config)
         assert s_ws.stable_dt(cfl=0.5) == pytest.approx(
-            s_legacy.stable_dt(cfl=0.5), rel=1e-12
+            oracle.stable_dt(cfl=0.5), rel=1e-12
         )
 
 

@@ -161,3 +161,33 @@ class TestDiagnostics:
         chi2 = scalar_dissipation(theta, grid16, 0.2)
         assert chi1 > 0
         assert chi2 == pytest.approx(2 * chi1)
+
+
+class TestVelocityUnaffectedByScalars:
+    """A passive scalar must not change the velocity: it rides the flow's
+    own RK stages instead of re-evaluating them (which would draw extra
+    phase shifts from the shared RNG)."""
+
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    @pytest.mark.parametrize("phase_shift", [True, False])
+    def test_velocity_bit_identical_to_plain_solver(self, grid16, scheme, phase_shift):
+        rng = np.random.default_rng(4)
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        theta0 = fft3d(rng.standard_normal(grid16.physical_shape), grid16)
+        cfg = dict(nu=0.05, scheme=scheme, phase_shift=phase_shift, seed=9)
+        plain = NavierStokesSolver(grid16, u0, SolverConfig(**cfg))
+        mixer = ScalarMixingSolver(grid16, u0, SolverConfig(**cfg))
+        mixer.add_scalar(theta0, schmidt=2.0, mean_gradient=1.0)
+        for _ in range(3):
+            plain.step(0.01)
+            mixer.step(0.01)
+        assert np.array_equal(mixer.flow.u_hat, plain.u_hat)
+
+    @pytest.mark.parametrize("scheme, evals", [("rk2", 2), ("rk4", 4)])
+    def test_one_velocity_rhs_per_stage(self, grid16, rng, scheme, evals):
+        s = make_solver(grid16, rng, scheme=scheme)
+        s.add_scalar(grid16.zeros_spectral(), mean_gradient=1.0)
+        s.add_scalar(grid16.zeros_spectral(), schmidt=4.0)
+        assert s.step(0.01).nonlinear_evals == evals
+        # ... and no velocity RHS evaluated outside the step's own stages.
+        assert s.flow.nonlinear_evaluations == evals

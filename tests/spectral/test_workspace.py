@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 * **equivalence** — the in-place workspace pipeline must reproduce the
-  legacy allocating RK2/RK4 trajectories to round-off, with phase shifting
-  and forcing on;
+  allocating RK2/RK4 oracle (``tests/allocating_rk.py``) to round-off,
+  with phase shifting and forcing on;
 * **allocation** — after warmup, a solver step must not allocate any
   full-grid (>= N^3-element) array (tracemalloc);
 * **unit behaviour** — buffer pool reuse, factor memoization, backend
@@ -30,19 +30,16 @@ from repro.spectral.workspace import (
     available_backends,
     resolve_backend,
 )
+from tests.allocating_rk import AllocatingSolver
 
 
 def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, **cfg_kw):
-    """Advance identical initial conditions through the legacy and workspace
-    pipelines; returns (legacy solver, workspace solver)."""
+    """Advance identical initial conditions through the allocating oracle
+    and the workspace solver; returns (oracle, workspace solver)."""
     solvers = []
-    for use_ws in (False, True):
+    for cls in (AllocatingSolver, NavierStokesSolver):
         forcing = forcing_factory() if forcing_factory else None
-        s = NavierStokesSolver(
-            grid, u0,
-            SolverConfig(nu=0.02, use_workspace=use_ws, **cfg_kw),
-            forcing=forcing,
-        )
+        s = cls(grid, u0, SolverConfig(nu=0.02, **cfg_kw), forcing=forcing)
         for _ in range(steps):
             s.step(dt)
         solvers.append(s)
@@ -50,7 +47,7 @@ def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, **cfg_kw):
 
 
 class TestWorkspaceEquivalence:
-    """Workspace vs. legacy trajectories to round-off."""
+    """Workspace vs. allocating-oracle trajectories to round-off."""
 
     @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
     def test_matches_legacy_no_phase_shift(self, grid24, rng, scheme):
@@ -107,7 +104,7 @@ class TestZeroAllocation:
             grid,
             random_isotropic_field(grid, rng, energy=1.0),
             SolverConfig(nu=0.02, scheme=scheme, phase_shift=True,
-                         use_workspace=True, diagnostics_every=0),
+                         diagnostics_every=0),
         )
         for _ in range(2):  # warmup: buffers created, factors cached
             solver.step(1e-3)
@@ -128,10 +125,10 @@ class TestZeroAllocation:
     def test_legacy_step_does_allocate(self, rng):
         """Sanity check that the measurement can see full-grid allocations."""
         grid = SpectralGrid(32)
-        solver = NavierStokesSolver(
+        solver = AllocatingSolver(
             grid,
             random_isotropic_field(grid, rng, energy=1.0),
-            SolverConfig(nu=0.02, use_workspace=False, diagnostics_every=0),
+            SolverConfig(nu=0.02, diagnostics_every=0),
         )
         solver.step(1e-3)
         tracemalloc.start()

@@ -113,6 +113,12 @@ class TestDns:
         assert by_name["solver.step.seconds"]["count"] == 2
         assert by_name["fft.calls"]["value"] > 0
 
+    def test_dns_legacy_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--n", "16", "--steps", "1", "--legacy"])
+        assert exc.value.code == 2
+        assert "--legacy" in capsys.readouterr().err
+
     def test_dns_without_flags_records_nothing(self, capsys):
         from repro.obs import NULL_OBS
 
@@ -154,6 +160,12 @@ class TestDnsDistributed:
     def test_forced_with_ranks_rejected(self, capsys):
         assert main(["dns", "--n", "16", "--steps", "1", "--ranks", "2",
                      "--forced"]) == 2
+
+    def test_ranks_honour_diagnostics_every(self, capsys):
+        assert main(["dns", "--n", "16", "--steps", "2", "--ranks", "2",
+                     "--diagnostics-every", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "E=nan eps=nan" in out
 
 
 class TestUnevenHeightsCli:

@@ -1,5 +1,7 @@
 """Tests for checkpoint save/load."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,29 @@ class TestRoundTrip:
         """A restarted run must follow the original trajectory exactly."""
         path = save_checkpoint(tmp_path / "ck.npz", solver)
         restored = load_checkpoint(path)
+        solver.run(3, 0.005)
+        restored.run(3, 0.005)
+        assert np.array_equal(restored.u_hat, solver.u_hat)
+
+    def test_older_header_with_retired_option_restarts_identically(
+        self, solver, tmp_path
+    ):
+        """Checkpoints written before the allocating step was retired carry
+        a ``use_workspace`` option in their config; they still restart
+        bit-exactly."""
+        path = save_checkpoint(tmp_path / "ck.npz", solver)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+        header["config"]["use_workspace"] = True
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8
+        )
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+
+        restored = load_checkpoint(old)
+        assert restored.config.scheme == "rk4"
         solver.run(3, 0.005)
         restored.run(3, 0.005)
         assert np.array_equal(restored.u_hat, solver.u_hat)
