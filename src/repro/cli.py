@@ -708,6 +708,11 @@ def _cmd_dns_distributed(args, grid, rng, obs, run=None) -> int:
         print("error: --dlb requires --npencils (out-of-core engine)",
               file=sys.stderr)
         return 2
+    if args.npencils is not None and args.fft_backend not in ("numpy", "auto"):
+        print(f"error: --fft-backend {args.fft_backend} is not supported with "
+              "--npencils (the out-of-core stages run numpy.fft)",
+              file=sys.stderr)
+        return 2
     heights = None
     if args.heights is not None:
         from repro.dist.decomp import normalize_heights

@@ -85,8 +85,8 @@ def skewed_heights(n: int, ranks: int, skew: float) -> tuple[int, ...]:
     ``skew=1.0`` reproduces the near-balanced linspace partition; larger
     skews grow rank 0's slab at the expense of the others (mirroring the
     ``cluster-dlb-benchmarks`` unbalanced sweeps, where one node per pair
-    is deliberately overloaded).  Always sums to ``n`` and never leaves a
-    negative height.
+    is deliberately overloaded).  Always sums to ``n``, never leaves a
+    negative height, and rank 0 is always the (weakly) largest slab.
     """
     if ranks < 1:
         raise ValueError("ranks must be >= 1")
@@ -95,7 +95,9 @@ def skewed_heights(n: int, ranks: int, skew: float) -> tuple[int, ...]:
     if ranks == 1:
         return (n,)
     h0 = int(round(n * skew / (skew + ranks - 1)))
-    h0 = max(0, min(n, h0))
+    # At least the ceil share: the linspace split of the rest puts its
+    # remainder last, where it could otherwise outgrow rank 0.
+    h0 = max(-(-n // ranks), min(n, h0))
     bounds = np.linspace(0, n - h0, ranks).astype(int)
     rest = tuple(int(b - a) for a, b in zip(bounds[:-1], bounds[1:]))
     return (h0,) + rest

@@ -69,6 +69,8 @@ class DistributedNavierStokesSolver(RKSolverBase):
         pencil engine (:class:`~repro.dist.outofcore.OutOfCoreSlabFFT`)
         with this many pencils per slab, under a byte-budgeted device
         arena; ``pipeline``/``inflight``/``device_bytes`` are forwarded.
+        Its pencil stages run ``numpy.fft``, so ``config.fft_backend``
+        must then be ``"numpy"`` or ``"auto"`` (ValueError otherwise).
         ``None`` (default) keeps the whole-slab
         :class:`~repro.dist.slab_fft.SlabDistributedFFT`.
     pipeline:
@@ -156,6 +158,12 @@ class DistributedNavierStokesSolver(RKSolverBase):
         else:
             from repro.dist.outofcore import OutOfCoreSlabFFT
 
+            if self.config.fft_backend not in ("numpy", "auto"):
+                raise ValueError(
+                    f"fft_backend={self.config.fft_backend!r} is not "
+                    "supported by the out-of-core engine, whose pencil "
+                    "stages run numpy.fft; use 'numpy' or 'auto'"
+                )
             self.fft = OutOfCoreSlabFFT(
                 grid,
                 comm,

@@ -23,7 +23,10 @@ bounded in-flight window gating H2D of pencil ``ip`` on full retirement of
 ``ip - window``.  Device storage is a ring of flat buffers pre-claimed from
 the arena **once per transform stage** and re-viewed per pencil — the
 paper's persistent-buffer discipline (27 buffers claimed at startup,
-Sec. 3.5) — so no allocate/free sits on the pencil path.
+Sec. 3.5) — so no allocate/free sits on the pencil path.  One builder
+(:meth:`OutOfCoreSlabFFT._phase`) emits this schedule for all four
+transform phases, each described by its compute stage, cut axis, host
+arrays, ring roles, kernel and optional exchange.
 
 Backends are interchangeable: ``pipeline="sync"`` executes every operation
 inline in submission order (the bit-exact reference oracle),
@@ -44,7 +47,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.payload import ArrayDescriptor, PayloadPolicy, is_descriptor
-from repro.cuda.copyengine import Batched2DEngine, CopyEngine, make_engine
+from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.transpose import (
     _PACK_POOL,
@@ -80,9 +83,10 @@ class DeviceArena:
     Tracks live allocations and the high-water mark; ``allocate`` raises
     :class:`DeviceMemoryExceeded` when the budget would be exceeded —
     making "this slab does not fit, batch it" an *enforced* invariant
-    rather than a comment.  Accounting is thread-safe: ring claims happen
-    on the submitting thread while legacy upload/download helpers may run
-    on stream workers.
+    rather than a comment.  Accounting is thread-safe.  The arena only
+    accounts bytes; pencils move through :class:`PencilRings`, whose
+    :meth:`~PencilRings.load`/:meth:`~PencilRings.store` are the only
+    H2D/D2H path.
 
     Buffer storage is drawn from a
     :class:`~repro.spectral.workspace.BufferPool` (the same abstraction the
@@ -95,7 +99,6 @@ class DeviceArena:
         capacity_bytes: float,
         pool: BufferPool | None = None,
         obs: "Observability | None" = None,
-        copy_engine: "CopyEngine | None" = None,
         payload_policy: "PayloadPolicy | str" = PayloadPolicy.PAYLOAD,
     ):
         if capacity_bytes <= 0:
@@ -108,14 +111,6 @@ class DeviceArena:
         self._lock = threading.Lock()
         self.obs = obs if obs is not None else NULL_OBS
         self.pool = pool if pool is not None else BufferPool(obs=self.obs)
-        #: Strided-copy strategy for :meth:`upload` / :meth:`download_and_free`
-        #: (the monolithic helpers); defaults to the cudaMemcpy2DAsync
-        #: analogue, the pre-copy-engine behaviour.
-        self.copy_engine = (
-            copy_engine
-            if copy_engine is not None
-            else Batched2DEngine(obs=self.obs)
-        )
         #: Optional invariant monitor (repro.verify.invariants): notified on
         #: every allocate/free so fuzzed runs can assert no double-lease and
         #: that in_use returns to zero.
@@ -181,27 +176,6 @@ class DeviceArena:
         finally:
             self.free(buf)
 
-    def upload(self, host_view: np.ndarray) -> np.ndarray:
-        """H2D: copy a strided host view into a fresh device buffer."""
-        buf = self.allocate(host_view.shape, host_view.dtype)
-        try:
-            self.copy_engine.h2d(buf, host_view)
-        except BaseException:
-            self.free(buf)
-            raise
-        if self.obs.enabled:
-            self.obs.metrics.counter("arena.h2d_bytes").inc(buf.nbytes)
-        return buf
-
-    def download_and_free(self, buf: np.ndarray, host_view: np.ndarray) -> None:
-        """D2H: copy a device buffer back into (strided) host memory."""
-        try:
-            self.copy_engine.d2h(host_view, buf)
-        finally:
-            if self.obs.enabled:
-                self.obs.metrics.counter("arena.d2h_bytes").inc(buf.nbytes)
-            self.free(buf)
-
 
 class PencilRings:
     """Persistent per-stage device rings: ``window`` flat slots per role.
@@ -212,7 +186,8 @@ class PencilRings:
     the arena (``arena.lease`` via an :class:`~contextlib.ExitStack`, so
     accounting survives any failure); :meth:`view` re-views slot
     ``item % window`` as the pencil's exact shape/dtype — no allocate/free
-    ever sits between H2D, compute, and D2H.
+    ever sits between H2D, compute, and D2H.  :meth:`load`/:meth:`store`
+    move pencils through ``engine`` and are the only H2D/D2H path.
     """
 
     def __init__(
@@ -220,14 +195,13 @@ class PencilRings:
         arena: DeviceArena,
         window: int,
         roles: dict[str, int],
+        engine: CopyEngine,
         monitor=None,
-        engine: "CopyEngine | None" = None,
     ):
         self.window = int(window)
         self.monitor = monitor if monitor is not None else arena.monitor
-        #: Strided-copy strategy for :meth:`load` / :meth:`store`; defaults
-        #: to the arena's engine so rings and legacy helpers agree.
-        self.engine = engine if engine is not None else arena.copy_engine
+        #: Strided-copy strategy for :meth:`load` / :meth:`store`.
+        self.engine = engine
         self._stack = ExitStack()
         self._slots: dict[str, list[np.ndarray]] = {}
         try:
@@ -439,7 +413,6 @@ class OutOfCoreSlabFFT:
             if device_bytes is not None
             else 1.05 * self.inflight * per_item,
             obs=self.obs,
-            copy_engine=self._copy_engine,
             payload_policy=self.payload_policy,
         )
         if monitor is not None:
@@ -530,23 +503,6 @@ class OutOfCoreSlabFFT:
         edges = np.linspace(0, extent, self.npencils + 1).astype(int)
         return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    def _rank_ysplits(self) -> "list[list[slice]] | None":
-        """Per-rank y-pencil slices for uneven slabs (None when balanced)."""
-        d = self.decomp
-        if d.heights is None:
-            return None
-        return [self._splits_keep(d.height(r)) for r in range(self.comm.size)]
-
-    @property
-    def _heights(self) -> "tuple[int, ...] | None":
-        d = self.decomp
-        return None if d.heights is None else d.rank_heights
-
-    @property
-    def _offsets(self) -> list[int]:
-        d = self.decomp
-        return [d.offset(r) for r in range(self.comm.size)]
-
     def _empty(self, shape: tuple[int, ...], dtype):
         """A host work array (payload) or its descriptor (metadata)."""
         if self._payload:
@@ -567,25 +523,11 @@ class OutOfCoreSlabFFT:
     def _stream_spans(self, name: str):
         """The stream's own span tracer, when the backend records one.
 
-        Span tracers are single-threaded; copy-engine spans emitted from a
-        stage fn must land on the tracer owned by the stream whose worker
-        runs the fn (same pattern as :meth:`_exchange_pencil`).
+        Span tracers are single-threaded; spans emitted from a stage fn
+        (copy-engine and pack spans) must land on the tracer owned by the
+        stream whose worker runs the fn.
         """
         return getattr(self._backend.stream(name), "_spans", self.obs.spans)
-
-    def _rings(self, roles: dict[str, int]) -> PencilRings:
-        """A per-stage ring wired to this engine's copy strategy."""
-        return PencilRings(
-            self.arena, self.inflight, roles, engine=self._copy_engine
-        )
-
-    def _note_h2d(self, nbytes: int) -> None:
-        if self._m_h2d is not None:
-            self._m_h2d.inc(nbytes)
-
-    def _note_d2h(self, nbytes: int) -> None:
-        if self._m_d2h is not None:
-            self._m_d2h.inc(nbytes)
 
     def _exchange_pencil(
         self,
@@ -593,18 +535,16 @@ class OutOfCoreSlabFFT:
         outs: Sequence[np.ndarray],
         pack_axis: int,
         unpack_axis: int,
-        chunk: slice,
         chunk_axis: int,
-        block_extent: int,
-        pack_sizes: "Sequence[int] | None" = None,
-        src_chunks: "Sequence[slice] | None" = None,
-        unpack_offsets: "Sequence[int] | None" = None,
+        src_chunks: Sequence[slice],
     ) -> None:
         """Post + complete one pencil's all-to-all (runs on the comm stream).
 
-        The pack phase records its own nested span on the comm stream's
-        tracer (same thread as the enclosing ``a2a[i]`` span), matching the
-        ``pack``/``mpi`` category split of :func:`transpose_exchange`.
+        Rank ``r`` contributes ``sources[r]`` cut to ``src_chunks[r]`` along
+        ``chunk_axis``.  The pack phase records its own nested span on the
+        comm stream's tracer (same thread as the enclosing ``a2a[i]``
+        span), matching the ``pack``/``mpi`` category split of
+        :func:`transpose_exchange`.
 
         Transient comm faults (:class:`TransientCommFault`, injected by the
         verification subsystem's fault-capable comm shim) are retried with
@@ -614,7 +554,11 @@ class OutOfCoreSlabFFT:
         before any byte moves, so every retry starts from clean state and
         recovered exchanges are bit-identical to fault-free ones.
         """
-        spans = getattr(self._backend.stream("comm"), "_spans", self.obs.spans)
+        d = self.decomp
+        pack_sizes = None if d.heights is None else d.rank_heights
+        offsets = [d.offset(r) for r in range(self.comm.size)]
+        chunk = src_chunks[0]
+        spans = self._stream_spans("comm")
         attempt = 0
         delay = self.retry_backoff
         handle = send = None
@@ -629,8 +573,8 @@ class OutOfCoreSlabFFT:
                         )
                 nbytes = complete_chunk_exchange(
                     handle, send, outs, unpack_axis, chunk, chunk_axis,
-                    block_extent, pool=_PACK_POOL,
-                    src_chunks=src_chunks, unpack_offsets=unpack_offsets,
+                    d.max_height, pool=_PACK_POOL,
+                    src_chunks=src_chunks, unpack_offsets=offsets,
                 )
                 break
             except TransientCommFault as fault:
@@ -661,23 +605,129 @@ class OutOfCoreSlabFFT:
             self._m_xpose.inc(nbytes)
             self._m_chunks.inc()
 
-    def _compute_stage(self, name: str, fn, volume) -> PipelineStage:
-        """The compute stage: single stream (legacy) or per-rank DLB lanes.
 
-        With DLB enabled the stage is *owned*: item ``i`` belongs to rank
+    def _phase(
+        self,
+        name: str,
+        cut_axis: int,
+        srcs: Sequence[np.ndarray],
+        dsts: Sequence[np.ndarray],
+        roles: tuple[str, str],
+        kernel,
+        exchange: "tuple[int, int, Sequence[np.ndarray]] | None" = None,
+    ) -> None:
+        """Run one Fig. 4 phase: H2D, ``kernel``, D2H per (pencil, rank).
+
+        Every rank's host arrays are cut along ``cut_axis`` (x for the
+        y-FFT phases, y for the z/x phases) into ``npencils`` pencils, and
+        item ``i = ip * P + r`` is rank ``r``'s pencil ``ip``: H2D from
+        ``srcs[r]`` into the ``roles[0]`` ring, ``kernel(in, out)`` on the
+        device views (``out`` is ``in`` when both roles are equal), D2H of
+        the ``roles[1]`` ring into ``dsts[r]``.  Pencils with an empty host
+        view (height-0 ranks, empty uneven y-cuts) are skipped but keep
+        their item slot.  ``exchange = (pack_axis, unpack_axis, outs)``
+        posts pencil ``ip``'s all-to-all from ``dsts`` into ``outs`` on the
+        comm stream once its last rank's D2H has completed.
+
+        With DLB the compute stage is *owned*: item ``i`` belongs to rank
         ``i % P`` and the pipeline's :class:`~repro.exec.DlbPolicy` picks
-        the lane from model-priced costs (``volume(i)`` element counts), so
-        the assignment — and the lent/reclaimed counters — are deterministic
-        on every backend.
+        the lane from each item's element count, so the assignment — and
+        the lent/reclaimed counters — are deterministic on every backend.
         """
-        if self._dlb_policy is None:
-            return PipelineStage(name, "compute", "fft", fn=fn)
+        d = self.decomp
         P = self.comm.size
-        return PipelineStage(
-            name, "compute", "fft", fn=fn,
-            owner=lambda i: i % P,
-            cost=lambda i: float(volume(i)),
+        role_in, role_out = roles
+        dtype = {"cpx": self.grid.cdtype, "real": self.grid.dtype}
+        dtype_in, dtype_out = dtype[role_in], dtype[role_out]
+        if cut_axis == _X_AXIS:
+            cuts = [self._splits(self.grid.n // 2 + 1)] * P
+            ring_bytes = {"cpx": self._bytes_xpencil}
+        else:
+            cuts = (
+                [self._splits(d.my)] * P
+                if d.heights is None
+                else [self._splits_keep(d.height(r)) for r in range(P)]
+            )
+            ring_bytes = {"cpx": self._bytes_ycpx, "real": self._bytes_yreal}
+        npen = len(cuts[0])
+        # Host views are resolved once per phase, not once per stage call.
+        index = [slice(None)] * 3
+        items = []
+        for ip in range(npen):
+            for r in range(P):
+                index[cut_axis] = cuts[r][ip]
+                items.append((srcs[r][tuple(index)], dsts[r][tuple(index)]))
+        sp_h2d = self._stream_spans("h2d")
+        sp_d2h = self._stream_spans("d2h")
+
+        def h2d(i: int) -> None:
+            src = items[i][0]
+            if src.size:
+                slot = rings.load(
+                    role_in, i, src.shape, dtype_in, src, spans=sp_h2d
+                )
+                if self._m_h2d is not None:
+                    self._m_h2d.inc(slot.nbytes)
+
+        def fft(i: int) -> None:
+            src, dst = items[i]
+            if src.size:
+                a = rings.view(role_in, i, src.shape, dtype_in)
+                b = (
+                    a if role_out == role_in
+                    else rings.view(role_out, i, dst.shape, dtype_out)
+                )
+                if self._payload:
+                    kernel(a, b)
+
+        def d2h(i: int) -> None:
+            src, dst = items[i]
+            if src.size:
+                slot = rings.store(
+                    role_out, i, dst.shape, dtype_out, dst, spans=sp_d2h
+                )
+                if self._m_d2h is not None:
+                    self._m_d2h.inc(slot.nbytes)
+
+        owner = cost = None
+        if self._dlb_policy is not None:
+            costs = [float(max(src.size, dst.size)) for src, dst in items]
+            owner, cost = (lambda i: i % P), costs.__getitem__
+        stages = [
+            PipelineStage("h2d", "h2d", "h2d", fn=h2d),
+            PipelineStage(
+                name, "compute", "fft", fn=fft, owner=owner, cost=cost
+            ),
+            PipelineStage("d2h", "d2h", "d2h", fn=d2h),
+        ]
+        if exchange is not None:
+            pack_axis, unpack_axis, outs = exchange
+            chunks = [tuple(c[ip] for c in cuts) for ip in range(npen)]
+
+            def comm_op(i: int) -> None:
+                self._exchange_pencil(
+                    dsts, outs, pack_axis, unpack_axis, cut_axis,
+                    chunks[i // P],
+                )
+
+            stages.append(
+                PipelineStage(
+                    "a2a", "comm", "mpi", fn=comm_op,
+                    when=lambda i: i % P == P - 1,
+                )
+            )
+        rings = PencilRings(
+            self.arena,
+            self.inflight,
+            {role: ring_bytes[role] for role in roles},
+            self._copy_engine,
         )
+        try:
+            self._run(stages, len(items))
+        finally:
+            rings.close()
+        if exchange is not None and self._m_xcount is not None:
+            self._m_xcount.inc()
 
     # -- full transforms -----------------------------------------------------
 
@@ -686,7 +736,8 @@ class OutOfCoreSlabFFT:
 
         Stage order and pencil split axes follow the paper: y-FFTs on
         x-split pencils (with the per-pencil exchange pipelined behind
-        them), then z and the c2r x transform on y-split pencils.
+        them), then z and the c2r x transform on y-split pencils, fused
+        on-device (one H2D/D2H round trip per pencil).
         """
         d = self.decomp
         n = self.grid.n
@@ -696,157 +747,31 @@ class OutOfCoreSlabFFT:
             if loc.shape != d.local_spectral_shape(r):
                 raise ValueError(f"rank {r}: bad shape {loc.shape}")
         nxh = n // 2 + 1
-        heights = self._heights
-        offsets = self._offsets
-        xsplits = self._splits(nxh)
         work = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
         t_out = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
-
-        # Phase 1 (Fig. 4): per (x-pencil, rank) — H2D, y-iFFT, D2H — and
-        # per pencil, the s2p exchange of that x-chunk on the comm stream.
-        rings = self._rings({"cpx": self._bytes_xpencil})
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                return r, xsplits[ip]
-
-            def shape_of(r: int, xs: slice) -> tuple[int, int, int]:
-                return (d.height(r), n, xs.stop - xs.start)
-
-            def h2d(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.load(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    spectral_locals[r][:, :, xs], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.view("cpx", i, shape_of(r, xs), cdtype)
-                if self._payload:
-                    np.multiply(np.fft.ifft(slot, axis=_Y_AXIS), n, out=slot)
-
-            def d2h(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.store(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    work[r][:, :, xs], spans=sp_d2h,
-                )
-                self._note_d2h(slot.nbytes)
-
-            def comm_op(i: int) -> None:
-                xs = xsplits[i // P]
-                self._exchange_pencil(
-                    work, t_out, pack_axis=_Y_AXIS, unpack_axis=_KZ_AXIS,
-                    chunk=xs, chunk_axis=_X_AXIS, block_extent=d.max_height,
-                    pack_sizes=heights, unpack_offsets=offsets,
-                )
-
-            def volume(i: int) -> int:
-                r, xs = pencil(i)
-                return d.height(r) * n * (xs.stop - xs.start)
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-                    self._compute_stage("fft.y", fft, volume),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h),
-                    PipelineStage(
-                        "a2a", "comm", "mpi", fn=comm_op,
-                        when=lambda i: i % P == P - 1,
-                    ),
-                ],
-                len(xsplits) * P,
-            )
-        finally:
-            rings.close()
-        if self._m_xcount is not None:
-            self._m_xcount.inc()
-
-        # Phase 2: per (y-pencil, rank) — z-iFFT then the c2r x transform,
-        # fused on-device (one H2D/D2H round trip per pencil).  Uneven
-        # slabs cut each rank's own y extent into npencils (possibly
-        # empty) slices so the item structure is preserved.
-        rank_ysplits = self._rank_ysplits()
-        ysplits = self._splits(d.my) if rank_ysplits is None else None
         out = [
             self._empty((n, d.height(r), n), self.grid.dtype) for r in range(P)
         ]
-        rings = self._rings(
-            {"cpx": self._bytes_ycpx, "real": self._bytes_yreal}
-        )
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil2(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                ys = ysplits[ip] if rank_ysplits is None else rank_ysplits[r][ip]
-                return r, ys
 
-            def h2d2(i: int) -> None:
-                r, ys = pencil2(i)
-                if ys.stop == ys.start:
-                    return
-                slot = rings.load(
-                    "cpx", i, (n, ys.stop - ys.start, nxh), cdtype,
-                    t_out[r][:, ys, :], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
+        def ifft_y(a, b):
+            np.multiply(np.fft.ifft(a, axis=_Y_AXIS), n, out=b)
 
-            def fft2(i: int) -> None:
-                r, ys = pencil2(i)
-                w = ys.stop - ys.start
-                if w == 0:
-                    return
-                slot = rings.view("cpx", i, (n, w, nxh), cdtype)
-                if self._payload:
-                    np.multiply(np.fft.ifft(slot, axis=_KZ_AXIS), n, out=slot)
-                real = rings.view("real", i, (n, w, n), self.grid.dtype)
-                if self._payload:
-                    np.multiply(
-                        np.fft.irfft(slot, n=n, axis=_X_AXIS), n, out=real
-                    )
+        def ifft_zx(a, b):
+            np.multiply(np.fft.ifft(a, axis=_KZ_AXIS), n, out=a)
+            np.multiply(np.fft.irfft(a, n=n, axis=_X_AXIS), n, out=b)
 
-            def d2h2(i: int) -> None:
-                r, ys = pencil2(i)
-                if ys.stop == ys.start:
-                    return
-                real = rings.store(
-                    "real", i, (n, ys.stop - ys.start, n), self.grid.dtype,
-                    out[r][:, ys, :], spans=sp_d2h,
-                )
-                self._note_d2h(real.nbytes)
-
-            def volume2(i: int) -> int:
-                r, ys = pencil2(i)
-                return n * (ys.stop - ys.start) * n
-
-            nitems2 = (
-                len(ysplits) * P if rank_ysplits is None else self.npencils * P
-            )
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d2),
-                    self._compute_stage("fft.zx", fft2, volume2),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h2),
-                ],
-                nitems2,
-            )
-        finally:
-            rings.close()
+        self._phase("fft.y", _X_AXIS, spectral_locals, work, ("cpx", "cpx"),
+                    ifft_y, exchange=(_Y_AXIS, _KZ_AXIS, t_out))
+        self._phase("fft.zx", _Y_AXIS, t_out, out, ("cpx", "real"), ifft_zx)
         return out
 
     def forward(self, physical_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """y-slabs of the real field -> kz-slabs of coefficients."""
+        """y-slabs of the real field -> kz-slabs of coefficients.
+
+        Fused r2c-x + c2c-z FFTs on y-split pencils, each pencil's exchange
+        (a y-sub-range of every peer's contribution) pipelined behind
+        them, then the final y-FFT and normalization on x-split pencils.
+        """
         d = self.decomp
         n = self.grid.n
         P = self.comm.size
@@ -855,153 +780,19 @@ class OutOfCoreSlabFFT:
             if loc.shape != d.local_physical_shape(r):
                 raise ValueError(f"rank {r}: bad shape {loc.shape}")
         nxh = n // 2 + 1
-        heights = self._heights
-        offsets = self._offsets
-        rank_ysplits = self._rank_ysplits()
-        ysplits = self._splits(d.my) if rank_ysplits is None else None
-        npitems = len(ysplits) if rank_ysplits is None else self.npencils
         half = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
         t_out = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
+        out = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
+        norm = float(n) ** 3
 
-        # Phase 1 (Fig. 4): per (y-pencil, rank) — H2D, fused r2c-x + c2c-z
-        # FFTs, D2H — and per pencil, its p2s exchange (a y-sub-range of
-        # every peer's contribution) pipelined on the comm stream.
-        rings = self._rings(
-            {"real": self._bytes_yreal, "cpx": self._bytes_ycpx}
-        )
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                ys = ysplits[ip] if rank_ysplits is None else rank_ysplits[r][ip]
-                return r, ys
+        def fft_xz(a, b):
+            b[:] = np.fft.rfft(a, axis=_X_AXIS)
+            b[:] = np.fft.fft(b, axis=_KZ_AXIS)
 
-            def h2d(i: int) -> None:
-                r, ys = pencil(i)
-                if ys.stop == ys.start:
-                    return
-                slot = rings.load(
-                    "real", i, (n, ys.stop - ys.start, n), self.grid.dtype,
-                    physical_locals[r][:, ys, :], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
+        def fft_y(a, b):
+            np.divide(np.fft.fft(a, axis=_Y_AXIS), norm, out=b)
 
-            def fft(i: int) -> None:
-                r, ys = pencil(i)
-                w = ys.stop - ys.start
-                if w == 0:
-                    return
-                real = rings.view("real", i, (n, w, n), self.grid.dtype)
-                cpx = rings.view("cpx", i, (n, w, nxh), cdtype)
-                if self._payload:
-                    cpx[:] = np.fft.rfft(real, axis=_X_AXIS)
-                    cpx[:] = np.fft.fft(cpx, axis=_KZ_AXIS)
-
-            def d2h(i: int) -> None:
-                r, ys = pencil(i)
-                if ys.stop == ys.start:
-                    return
-                cpx = rings.store(
-                    "cpx", i, (n, ys.stop - ys.start, nxh), cdtype,
-                    half[r][:, ys, :], spans=sp_d2h,
-                )
-                self._note_d2h(cpx.nbytes)
-
-            def comm_op(i: int) -> None:
-                ip = i // P
-                if rank_ysplits is None:
-                    src_chunks = None
-                    chunk = ysplits[ip]
-                else:
-                    src_chunks = tuple(rank_ysplits[r][ip] for r in range(P))
-                    chunk = src_chunks[0]
-                self._exchange_pencil(
-                    half, t_out, pack_axis=_KZ_AXIS, unpack_axis=_Y_AXIS,
-                    chunk=chunk, chunk_axis=_Y_AXIS, block_extent=d.max_height,
-                    pack_sizes=heights, src_chunks=src_chunks,
-                    unpack_offsets=offsets,
-                )
-
-            def volume(i: int) -> int:
-                r, ys = pencil(i)
-                return n * (ys.stop - ys.start) * n
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-                    self._compute_stage("fft.xz", fft, volume),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h),
-                    PipelineStage(
-                        "a2a", "comm", "mpi", fn=comm_op,
-                        when=lambda i: i % P == P - 1,
-                    ),
-                ],
-                npitems * P,
-            )
-        finally:
-            rings.close()
-        if self._m_xcount is not None:
-            self._m_xcount.inc()
-
-        # Phase 2: per (x-pencil, rank) — the final y-FFT + normalization.
-        xsplits = self._splits(nxh)
-        out = [
-            self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)
-        ]
-        rings = self._rings({"cpx": self._bytes_xpencil})
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            norm = float(n) ** 3
-
-            def pencil2(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                return r, xsplits[ip]
-
-            def shape_of(r: int, xs: slice) -> tuple[int, int, int]:
-                return (d.height(r), n, xs.stop - xs.start)
-
-            def h2d2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.load(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    t_out[r][:, :, xs], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.view("cpx", i, shape_of(r, xs), cdtype)
-                if self._payload:
-                    np.divide(np.fft.fft(slot, axis=_Y_AXIS), norm, out=slot)
-
-            def d2h2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.store(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    out[r][:, :, xs], spans=sp_d2h,
-                )
-                self._note_d2h(slot.nbytes)
-
-            def volume2(i: int) -> int:
-                r, xs = pencil2(i)
-                return d.height(r) * n * (xs.stop - xs.start)
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d2),
-                    self._compute_stage("fft.y", fft2, volume2),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h2),
-                ],
-                len(xsplits) * P,
-            )
-        finally:
-            rings.close()
+        self._phase("fft.xz", _Y_AXIS, physical_locals, half, ("real", "cpx"),
+                    fft_xz, exchange=(_KZ_AXIS, _Y_AXIS, t_out))
+        self._phase("fft.y", _X_AXIS, t_out, out, ("cpx", "cpx"), fft_y)
         return out

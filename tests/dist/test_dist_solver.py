@@ -159,3 +159,19 @@ class TestHonoursSolverConfig:
                 grid16, VirtualComm(2), taylor_green_field(grid16),
                 SolverConfig(convective_form="rotational"),
             )
+
+    @pytest.mark.parametrize("backend", ["scipy", "fftw"])
+    def test_out_of_core_rejects_other_fft_backends(self, grid16, backend):
+        with pytest.raises(ValueError, match="out-of-core"):
+            DistributedNavierStokesSolver(
+                grid16, VirtualComm(2), taylor_green_field(grid16),
+                SolverConfig(fft_backend=backend), npencils=2,
+            )
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_out_of_core_accepts_numpy_and_auto(self, grid16, backend):
+        solver = DistributedNavierStokesSolver(
+            grid16, VirtualComm(2), taylor_green_field(grid16),
+            SolverConfig(fft_backend=backend), npencils=2,
+        )
+        solver.close()

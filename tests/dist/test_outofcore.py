@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dist.outofcore import DeviceArena, DeviceMemoryExceeded, OutOfCoreSlabFFT
+from repro.cuda.copyengine import Batched2DEngine
+from repro.dist.outofcore import (
+    DeviceArena,
+    DeviceMemoryExceeded,
+    OutOfCoreSlabFFT,
+    PencilRings,
+)
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
@@ -27,12 +33,17 @@ class TestDeviceArena:
 
     def test_upload_download_roundtrip(self):
         arena = DeviceArena(10_000)
-        host = np.arange(24, dtype=float).reshape(4, 6)
+        rings = PencilRings(arena, 2, {"real": 96}, Batched2DEngine())
+        orig = np.arange(24, dtype=float).reshape(4, 6)
+        host = orig.copy()
         view = host[:, 1:4]  # strided view
-        buf = arena.upload(view)
+        buf = rings.load("real", 0, view.shape, view.dtype, view)
+        assert buf.flags.c_contiguous and np.array_equal(buf, view)
         buf *= 2
-        arena.download_and_free(buf, host[:, 1:4])
-        assert np.all(host[:, 1:4] == 2 * np.arange(24).reshape(4, 6)[:, 1:4])
+        rings.store("real", 0, view.shape, view.dtype, host[:, 1:4])
+        assert np.all(host[:, 1:4] == 2 * orig[:, 1:4])
+        assert np.all(host[:, [0, 4, 5]] == orig[:, [0, 4, 5]])
+        rings.close()
         assert arena.in_use == 0
 
     def test_foreign_free_rejected(self):
@@ -72,10 +83,12 @@ class TestOutOfCoreFFT:
         )
         assert np.allclose(got, ref, atol=1e-12)
 
-    def test_roundtrip(self, rng):
+    @pytest.mark.parametrize("npencils", [2, 16])
+    def test_roundtrip(self, rng, npencils):
+        # npencils=16 cuts nxh=9 x-columns 16 ways: 7 empty x-cuts dropped.
         grid = SpectralGrid(16)
         u = rng.standard_normal(grid.physical_shape)
-        ooc = OutOfCoreSlabFFT(grid, VirtualComm(4), npencils=2)
+        ooc = OutOfCoreSlabFFT(grid, VirtualComm(4), npencils=npencils)
         back = ooc.decomp.gather_physical(
             ooc.inverse(ooc.forward(ooc.decomp.scatter_physical(u)))
         )

@@ -10,7 +10,7 @@ partitions instead of pinning a handful.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dist.decomp import (
@@ -81,6 +81,8 @@ class TestHeightsValidation:
         ranks=st.integers(min_value=1, max_value=6),
         skew=st.floats(min_value=1.0, max_value=4.0),
     )
+    @example(n=1, ranks=2, skew=1.0)  # was (0, 1)
+    @example(n=5, ranks=4, skew=1.0)  # was (1, 1, 1, 2)
     @settings(**SETTINGS)
     def test_skewed_heights_always_feasible(self, n, ranks, skew):
         hs = skewed_heights(n, ranks, skew)

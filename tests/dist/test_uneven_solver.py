@@ -107,11 +107,12 @@ class TestGoldenTaylorGreen32:
         )
         assert np.array_equal(skewed, near_even)
 
-    def test_zero_height_rank_full_solve(self, tg32):
+    @pytest.mark.parametrize("pipeline", [None, "sync", "threads"])
+    def test_zero_height_rank_full_solve(self, tg32, pipeline):
         grid, u0 = tg32
         cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=False, seed=11)
         near_even = _run_distributed(grid, u0, cfg, "virtual", heights=(11, 11, 10))
         degenerate = _run_distributed(
-            grid, u0, cfg, "virtual", heights=(20, 0, 12)
+            grid, u0, cfg, "virtual", heights=(20, 0, 12), pipeline=pipeline
         )
         assert np.array_equal(degenerate, near_even)

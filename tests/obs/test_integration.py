@@ -150,15 +150,29 @@ class TestOutOfCoreObservability:
     def test_arena_counters_and_high_water(self):
         obs = Observability.create()
         arena = DeviceArena(capacity_bytes=4096, obs=obs)
-        buf = arena.upload(np.ones(64))  # 512 B
-        arena.download_and_free(buf, np.empty(64))
+        with arena.lease((64,), np.float64):  # 512 B
+            pass
         assert obs.metrics.counter("arena.acquires").value == 1
         assert obs.metrics.counter("arena.releases").value == 1
-        assert obs.metrics.counter("arena.h2d_bytes").value == 512
-        assert obs.metrics.counter("arena.d2h_bytes").value == 512
         assert obs.metrics.gauge("arena.high_water_bytes").value == 512
+
+        # H2D/D2H run only through the pencil rings of the out-of-core FFT.
+        obs = Observability.create()
+        grid = SpectralGrid(16)
+        fft = OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=4, obs=obs)
+        u = np.random.default_rng(0).standard_normal(grid.physical_shape)
+        fft.inverse(fft.forward(fft.decomp.scatter_physical(u)))
+        # Each of the four phases moves its whole input in and its whole
+        # output out: one real field and three spectral fields each way.
+        spectral_bytes = 16 * 16 * 9 * np.dtype(grid.cdtype).itemsize
+        moved = u.nbytes + 3 * spectral_bytes
+        assert obs.metrics.counter("arena.h2d_bytes").value == moved
+        assert obs.metrics.counter("arena.d2h_bytes").value == moved
+        assert obs.metrics.gauge("arena.high_water_bytes").value == (
+            fft.arena.high_water
+        )
         cats = [a.category for a in obs.spans.activities]
-        assert cats == ["h2d", "d2h"]
+        assert cats.count("h2d") == cats.count("d2h") > 0
 
     def test_outofcore_fft_records_pencil_and_transfer_spans(self):
         obs = Observability.create()

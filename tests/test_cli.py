@@ -210,6 +210,12 @@ class TestUnevenHeightsCli:
                      "--dlb", "lend"]) == 2
         assert "--npencils" in capsys.readouterr().err
 
+    def test_dns_npencils_rejects_non_numpy_fft_backend(self, capsys):
+        assert main(["dns", "--n", "16", "--steps", "1", "--ranks", "2",
+                     "--npencils", "4", "--fft-backend", "scipy"]) == 2
+        err = capsys.readouterr().err
+        assert "--fft-backend scipy" in err and "--npencils" in err
+
     def test_verify_bad_heights_quotes_feasible_partition(self, capsys):
         assert main(["verify", "--n", "8", "--ranks", "2", "--npencils", "2",
                      "--seeds", "7", "--profiles", "calm",

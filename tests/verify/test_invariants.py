@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cuda.copyengine import Batched2DEngine
 from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT, PencilRings
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
@@ -107,7 +108,7 @@ class TestIntegration:
         arena = DeviceArena(10_000)
         arena.monitor = mon
         arena.pool.monitor = mon
-        rings = PencilRings(arena, 2, {"cpx": 256})
+        rings = PencilRings(arena, 2, {"cpx": 256}, Batched2DEngine())
         rings.view("cpx", 0, (4,), np.complex128)
         rings.close()
         assert arena.in_use == 0
