@@ -40,6 +40,7 @@ path of the ``dns`` CLI and the ``repro tune`` subcommand).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -129,7 +130,7 @@ class ChunkLayout:
                 )
         tail = min(_contiguous_tail(a) for a in arrays)
         lead = base.ndim - tail
-        chunk_elems = int(np.prod(base.shape[lead:], dtype=np.int64))
+        chunk_elems = math.prod(base.shape[lead:])
         return cls(
             shape=tuple(base.shape),
             lead_ndim=lead,
@@ -139,7 +140,7 @@ class ChunkLayout:
 
     @property
     def nchunks(self) -> int:
-        return int(np.prod(self.shape[: self.lead_ndim], dtype=np.int64))
+        return math.prod(self.shape[: self.lead_ndim])
 
     @property
     def chunk_bytes(self) -> int:
@@ -157,6 +158,11 @@ class ChunkLayout:
         )
 
 
+def _geometry(dst, src) -> tuple:
+    """The raw geometry of a copy: what its layout and price depend on."""
+    return (dst.shape, src.shape, dst.strides, src.strides, dst.dtype, src.dtype)
+
+
 class CopyEngine:
     """One executable strategy for moving strided data host<->device.
 
@@ -166,6 +172,11 @@ class CopyEngine:
     tracer (pass the owning stream's child tracer when calling from a
     pipeline stage — span tracers are single-threaded) and maintain
     ``copy.<strategy>.{h2d_bytes,d2h_bytes,chunks,calls}`` counters.
+
+    A pencil pipeline repeats a handful of geometries thousands of times,
+    so the ``(ChunkLayout, price)`` pair is derived once per raw geometry
+    (shapes, strides, dtypes) and memoised; every copy still emits its
+    span and counters.
     """
 
     #: CLI / cache name of the strategy.
@@ -180,6 +191,10 @@ class CopyEngine:
 
             gpu = summit_gpu()
         self.gpu = gpu
+        # Per raw geometry, what _derive found.  Written by whichever
+        # stream worker meets a geometry first; a racing duplicate derives
+        # the identical value.
+        self._resolved: dict[tuple, object] = {}
         # Instruments are created eagerly on the constructing thread so
         # stream workers only ever mutate existing counters.
         if self.obs.enabled:
@@ -211,8 +226,21 @@ class CopyEngine:
 
     # -- machinery -----------------------------------------------------------
 
-    def _copy(self, dst, src, direction: str, spans, stream: "Stream | None"):
+    def _resolve(self, dst, src):
+        """:meth:`_derive` of a copy, run once per raw geometry."""
+        key = _geometry(dst, src)
+        hit = self._resolved.get(key)
+        if hit is None:
+            hit = self._resolved[key] = self._derive(dst, src)
+        return hit
+
+    def _derive(self, dst, src) -> tuple[ChunkLayout, float]:
+        """``(layout, Fig. 7 price)`` of a copy."""
         layout = ChunkLayout.of(dst, src)
+        return layout, self.price(layout)
+
+    def _copy(self, dst, src, direction: str, spans, stream: "Stream | None"):
+        layout, cost = self._resolve(dst, src)
         if stream is not None:
             # Submitted as one stream operation: real backends execute the
             # copy on the stream's worker; the simulated backend prices it
@@ -220,22 +248,24 @@ class CopyEngine:
             return stream.submit(
                 f"arena.{direction}",
                 direction,
-                fn=lambda: self._run(dst, src, layout, direction, None),
-                cost=self.price(layout),
+                fn=lambda: self._run(dst, src, layout, cost, direction, None),
+                cost=cost,
                 engine=self.name,
                 nbytes=layout.total_bytes,
             )
-        self._run(dst, src, layout, direction, spans)
+        self._run(dst, src, layout, cost, direction, spans)
         return None
 
-    def _run(self, dst, src, layout: ChunkLayout, direction: str, spans):
+    def _run(
+        self, dst, src, layout: ChunkLayout, cost: float, direction: str, spans
+    ):
         tracer = spans if spans is not None else self.obs.spans
         with tracer.span(
             f"arena.{direction}",
             category=direction,
             engine=self.name,
             nbytes=layout.total_bytes,
-            model_cost=self.price(layout),
+            model_cost=cost,
         ):
             # Metadata-mode operands (shape/dtype descriptors, see
             # repro.core.payload) have no bytes to move; the span, the
@@ -552,10 +582,11 @@ class CopyAutotuner:
 class AutoEngine(CopyEngine):
     """The ``--copy-strategy auto`` engine: a tuner behind the interface.
 
-    Every copy consults :class:`CopyAutotuner` for the pair's layout; the
-    first pencil with a new layout pays a probe (each candidate performs
-    the real copy once per repeat), after which the cached winner handles
-    all subsequent pencils of that layout.
+    The first copy of each raw geometry consults :class:`CopyAutotuner`;
+    the first pencil with a new layout pays a probe (each candidate
+    performs the real copy once per repeat).  The chosen engine is the
+    geometry's memoised entry (:meth:`CopyEngine._resolve`), so later
+    pencils go straight to it without re-deriving the layout key.
     """
 
     name = "auto"
@@ -573,15 +604,14 @@ class AutoEngine(CopyEngine):
     def price(self, layout: ChunkLayout) -> float:
         return min(e.price(layout) for e in self.tuner.engines)
 
+    def _derive(self, dst, src) -> CopyEngine:
+        return self.tuner.choose(dst, src, self.kind)
+
     def h2d(self, dst, src, spans=None, stream=None):
-        return self.tuner.choose(dst, src, self.kind).h2d(
-            dst, src, spans=spans, stream=stream
-        )
+        return self._resolve(dst, src).h2d(dst, src, spans=spans, stream=stream)
 
     def d2h(self, dst, src, spans=None, stream=None):
-        return self.tuner.choose(dst, src, self.kind).d2h(
-            dst, src, spans=spans, stream=stream
-        )
+        return self._resolve(dst, src).d2h(dst, src, spans=spans, stream=stream)
 
     def close(self) -> None:
         self.tuner.close()

@@ -186,8 +186,11 @@ class PencilRings:
     the arena (``arena.lease`` via an :class:`~contextlib.ExitStack`, so
     accounting survives any failure); :meth:`view` re-views slot
     ``item % window`` as the pencil's exact shape/dtype — no allocate/free
-    ever sits between H2D, compute, and D2H.  :meth:`load`/:meth:`store`
-    move pencils through ``engine`` and are the only H2D/D2H path.
+    ever sits between H2D, compute, and D2H.  Each distinct
+    ``(role, slot, shape, dtype)`` view is built once for the ring's
+    lifetime (one phase) and reused by every stage that touches it; the
+    monitor still hears of every use.  :meth:`load`/:meth:`store` move
+    pencils through ``engine`` and are the only H2D/D2H path.
     """
 
     def __init__(
@@ -204,6 +207,7 @@ class PencilRings:
         self.engine = engine
         self._stack = ExitStack()
         self._slots: dict[str, list[np.ndarray]] = {}
+        self._views: dict[tuple, np.ndarray] = {}
         try:
             for role, max_nbytes in roles.items():
                 padded = -(-int(max_nbytes) // 16) * 16  # align for any dtype
@@ -224,9 +228,13 @@ class PencilRings:
         slot = item % self.window
         if self.monitor is not None:
             self.monitor.on_ring_view(role, slot, item)
-        flat = self._slots[role][slot]
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        return flat[:nbytes].view(dtype).reshape(shape)
+        key = (role, slot, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            flat = self._slots[role][slot]
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            view = self._views[key] = flat[:nbytes].view(dtype).reshape(shape)
+        return view
 
     def load(
         self,
@@ -447,6 +455,10 @@ class OutOfCoreSlabFFT:
                 comm.size, mode=self.dlb, costs=rank_weights
             )
         self._dlb_synced = [0, 0]
+        # Exchange constants of every pencil: pack extents (None keeps the
+        # balanced split) and each rank's offset into the gathered axis.
+        self._pack_sizes = None if d.heights is None else d.rank_heights
+        self._unpack_offsets = [d.offset(r) for r in range(comm.size)]
         # Metric instruments are pre-created on the constructing thread so
         # stream workers only ever mutate existing counters.
         if self.obs.enabled:
@@ -554,9 +566,6 @@ class OutOfCoreSlabFFT:
         before any byte moves, so every retry starts from clean state and
         recovered exchanges are bit-identical to fault-free ones.
         """
-        d = self.decomp
-        pack_sizes = None if d.heights is None else d.rank_heights
-        offsets = [d.offset(r) for r in range(self.comm.size)]
         chunk = src_chunks[0]
         spans = self._stream_spans("comm")
         attempt = 0
@@ -568,13 +577,13 @@ class OutOfCoreSlabFFT:
                     with spans.span("transpose.pack", category="pack"):
                         handle, send = post_chunk_exchange(
                             self.comm, sources, pack_axis, chunk, chunk_axis,
-                            pool=_PACK_POOL, pack_sizes=pack_sizes,
+                            pool=_PACK_POOL, pack_sizes=self._pack_sizes,
                             src_chunks=src_chunks,
                         )
                 nbytes = complete_chunk_exchange(
                     handle, send, outs, unpack_axis, chunk, chunk_axis,
-                    d.max_height, pool=_PACK_POOL,
-                    src_chunks=src_chunks, unpack_offsets=offsets,
+                    self.decomp.max_height, pool=_PACK_POOL,
+                    src_chunks=src_chunks, unpack_offsets=self._unpack_offsets,
                 )
                 break
             except TransientCommFault as fault:
@@ -650,19 +659,24 @@ class OutOfCoreSlabFFT:
             )
             ring_bytes = {"cpx": self._bytes_ycpx, "real": self._bytes_yreal}
         npen = len(cuts[0])
-        # Host views are resolved once per phase, not once per stage call.
+        # Host views are resolved once per phase, not once per stage call;
+        # an empty pencil is None and every stage skips it.
         index = [slice(None)] * 3
         items = []
         for ip in range(npen):
             for r in range(P):
                 index[cut_axis] = cuts[r][ip]
-                items.append((srcs[r][tuple(index)], dsts[r][tuple(index)]))
+                src = srcs[r][tuple(index)]
+                items.append(
+                    (src, dsts[r][tuple(index)]) if src.size else None
+                )
         sp_h2d = self._stream_spans("h2d")
         sp_d2h = self._stream_spans("d2h")
 
         def h2d(i: int) -> None:
-            src = items[i][0]
-            if src.size:
+            item = items[i]
+            if item is not None:
+                src = item[0]
                 slot = rings.load(
                     role_in, i, src.shape, dtype_in, src, spans=sp_h2d
                 )
@@ -670,8 +684,9 @@ class OutOfCoreSlabFFT:
                     self._m_h2d.inc(slot.nbytes)
 
         def fft(i: int) -> None:
-            src, dst = items[i]
-            if src.size:
+            item = items[i]
+            if item is not None:
+                src, dst = item
                 a = rings.view(role_in, i, src.shape, dtype_in)
                 b = (
                     a if role_out == role_in
@@ -681,8 +696,9 @@ class OutOfCoreSlabFFT:
                     kernel(a, b)
 
         def d2h(i: int) -> None:
-            src, dst = items[i]
-            if src.size:
+            item = items[i]
+            if item is not None:
+                dst = item[1]
                 slot = rings.store(
                     role_out, i, dst.shape, dtype_out, dst, spans=sp_d2h
                 )
@@ -691,7 +707,10 @@ class OutOfCoreSlabFFT:
 
         owner = cost = None
         if self._dlb_policy is not None:
-            costs = [float(max(src.size, dst.size)) for src, dst in items]
+            costs = [
+                0.0 if item is None else float(max(item[0].size, item[1].size))
+                for item in items
+            ]
             owner, cost = (lambda i: i % P), costs.__getitem__
         stages = [
             PipelineStage("h2d", "h2d", "h2d", fn=h2d),

@@ -7,11 +7,18 @@ CUDA stream's contract.  Because NumPy's pocketfft transforms and
 copy-out of ``ip-1``) execute concurrently on real cores, which is what
 turns the paper's Fig. 4 schedule from a model into a measurement.
 
+Cross-stream waits cost no queue operation of their own: ``wait_event``
+records the event as pending, and the next submitted operation carries
+every pending event into the FIFO; its worker waits on them before running
+it.  A pipeline item therefore costs one queue operation, one event and
+one worker hand-off per stage, not two.
+
 Failure semantics: an operation that raises poisons its stream — its own
 event completes carrying the exception, and every subsequent operation on
 that stream completes immediately with :class:`DependencyFailed` without
 running.  A ``wait_event`` on a failed event likewise poisons the waiting
-stream.  All events therefore always fire (no deadlock on error) and
+stream (when the operation carrying the wait reaches the worker).  All
+events therefore always fire (no deadlock on error) and
 :meth:`ThreadBackend.synchronize` re-raises the root cause.
 """
 
@@ -61,21 +68,24 @@ class ThreadEvent(Event):
 
 
 class _Op:
-    __slots__ = ("name", "category", "fn", "meta", "event", "dep")
+    __slots__ = ("name", "category", "fn", "meta", "event", "deps")
 
-    def __init__(self, name, category, fn, meta, event, dep=None):
+    def __init__(self, name, category, fn, meta, event, deps):
         self.name = name
         self.category = category
         self.fn = fn
         self.meta = meta
         self.event = event
-        self.dep = dep
+        self.deps = deps
 
 
 class ThreadStream(Stream):
     """FIFO of operations drained by one dedicated worker thread."""
 
-    __slots__ = ("name", "lane", "_spans", "_queue", "_worker", "_poison")
+    __slots__ = (
+        "name", "lane", "_spans", "_queue", "_worker", "_poison",
+        "_pending", "_submit_lock",
+    )
 
     def __init__(self, name: str, lane: str, spans):
         self.name = name
@@ -83,6 +93,11 @@ class ThreadStream(Stream):
         self._spans = spans
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._poison: Optional[BaseException] = None
+        # Events named by wait_event since the last submit; they ride on
+        # the next operation.  The lock pairs the hand-over with the put,
+        # so a wait always lands before every operation submitted after it.
+        self._pending: list[Event] = []
+        self._submit_lock = threading.Lock()
         self._worker = threading.Thread(
             target=self._run, name=f"exec-{lane}", daemon=True
         )
@@ -99,12 +114,14 @@ class ThreadStream(Stream):
         **meta: object,
     ) -> ThreadEvent:
         event = ThreadEvent(name)
-        self._queue.put(_Op(name, category, fn, meta, event))
+        with self._submit_lock:
+            deps, self._pending = self._pending, []
+            self._queue.put(_Op(name, category, fn, meta, event, deps))
         return event
 
     def wait_event(self, event: Event) -> None:
-        self._queue.put(_Op(f"wait[{getattr(event, 'name', 'event')}]",
-                            "sync", None, {}, ThreadEvent("wait"), dep=event))
+        with self._submit_lock:
+            self._pending.append(event)
 
     def synchronize(self) -> None:
         marker = self.submit("synchronize", "sync")
@@ -121,24 +138,8 @@ class ThreadStream(Stream):
             op = self._queue.get()
             if op is _STOP:
                 return
-            if op.dep is not None:  # a cross-stream wait barrier
-                dep = op.dep
-                if isinstance(dep, ThreadEvent):
-                    dep._flag.wait()
-                else:  # foreign (e.g. sync) events are complete by contract
-                    try:
-                        dep.wait()
-                    except BaseException:  # noqa: BLE001 - read below
-                        pass
-                exc = dep.exception
-                if exc is not None and self._poison is None:
-                    self._poison = DependencyFailed(
-                        f"stream {self.name!r}: dependency "
-                        f"{getattr(op.dep, 'name', 'event')!r} failed"
-                    )
-                    self._poison.__cause__ = exc
-                op.event._complete(self._poison)
-                continue
+            for dep in op.deps:  # cross-stream waits folded into this op
+                self._await(dep)
             if self._poison is not None or op.fn is None:
                 op.event._complete(self._poison)
                 continue
@@ -150,6 +151,23 @@ class ThreadStream(Stream):
                 op.event._complete(exc)
             else:
                 op.event._complete(None)
+
+    def _await(self, dep: Event) -> None:
+        """Block until ``dep`` fired; a failed dependency poisons the stream."""
+        if isinstance(dep, ThreadEvent):
+            dep._flag.wait()
+        else:  # foreign (e.g. sync) events are complete by contract
+            try:
+                dep.wait()
+            except BaseException:  # noqa: BLE001 - read below
+                pass
+        exc = dep.exception
+        if exc is not None and self._poison is None:
+            self._poison = DependencyFailed(
+                f"stream {self.name!r}: dependency "
+                f"{getattr(dep, 'name', 'event')!r} failed"
+            )
+            self._poison.__cause__ = exc
 
 
 class ThreadBackend(ExecBackend):

@@ -46,6 +46,7 @@ fused stages onto an ``MPIPoolExecutor`` when mpi4py is importable.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import traceback
@@ -116,6 +117,19 @@ _KERNELS = {
 }
 
 
+@functools.cache
+def _pre_dtype(pre: str, dtype: np.dtype, lf) -> np.dtype:
+    """Output dtype of a pre kernel, probed once on a 2-element transform.
+
+    ``lf`` is one of ``resolve_line_fft``'s cached providers, so the cache
+    holds one entry per (pre kernel, input dtype, provider) a process meets.
+    """
+    probe = np.zeros(2, dtype=dtype)
+    if pre == "inv_y":
+        return lf.ifft(probe, axis=0).dtype
+    return lf.fft(lf.rfft(probe, axis=0), axis=0).dtype
+
+
 def _pre_meta(pre: Optional[str], shape, dtype, n, lf):
     """(shape, dtype) of the pre-kernel output, probed on the provider."""
     shape = tuple(shape)
@@ -123,11 +137,9 @@ def _pre_meta(pre: Optional[str], shape, dtype, n, lf):
     if pre is None:
         return shape, dtype
     if pre == "inv_y":
-        out = lf.ifft(np.zeros(2, dtype=dtype), axis=0)
-        return shape, out.dtype
+        return shape, _pre_dtype(pre, dtype, lf)
     if pre == "fwd_xz":
-        out = lf.fft(lf.rfft(np.zeros(2, dtype=dtype), axis=0), axis=0)
-        return (shape[0], shape[1], shape[2] // 2 + 1), out.dtype
+        return (shape[0], shape[1], shape[2] // 2 + 1), _pre_dtype(pre, dtype, lf)
     raise ValueError(f"unknown pre kernel {pre!r}")
 
 

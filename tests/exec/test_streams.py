@@ -177,6 +177,106 @@ class TestThreadStreams:
         assert len(hits) == 100
 
 
+class TestFoldedWaits:
+    """``wait_event`` rides on the next op instead of queueing its own."""
+
+    def test_one_queue_op_per_submit(self, monkeypatch):
+        from repro.exec import threads
+
+        made = []
+        raw_op = threads._Op
+
+        def counting_op(*args):
+            made.append(args[0])
+            return raw_op(*args)
+
+        monkeypatch.setattr(threads, "_Op", counting_op)
+        backend = ThreadBackend()
+        a, b = backend.stream("a"), backend.stream("b")
+        ev = a.submit("first", "h2d", lambda: None)
+        b.wait_event(ev)
+        b.wait_event(a.submit("second", "h2d", lambda: None))
+        b.submit("after", "fft", lambda: None)
+        assert made == ["first", "second", "after"]
+        backend.synchronize()
+        backend.shutdown()
+
+    def test_folded_wait_on_failed_event_poisons_the_stream(self):
+        backend = ThreadBackend()
+        a, b = backend.stream("a"), backend.stream("b")
+        ran = []
+        ev = a.submit("bad", "fft", lambda: 1 / 0)
+        b.wait_event(ev)
+        first = b.submit("first", "fft", lambda: ran.append("first"))
+        later = b.submit("later", "fft", lambda: ran.append("later"))
+        for event in (first, later):
+            with pytest.raises(DependencyFailed):
+                event.wait(timeout=5.0)
+        assert isinstance(first.exception.__cause__, ZeroDivisionError)
+        assert ran == []
+        with pytest.raises(ZeroDivisionError):
+            backend.synchronize()
+        backend.shutdown()
+
+    def test_trailing_wait_blocks_synchronize_until_the_event_fires(self):
+        backend = ThreadBackend()
+        a, b = backend.stream("a"), backend.stream("b")
+        gate = threading.Event()
+        ev = a.submit("gated", "fft", lambda: gate.wait(5.0))
+        b.wait_event(ev)  # nothing submitted on b after this wait
+        synced = threading.Event()
+
+        def sync_b():
+            b.synchronize()
+            synced.set()
+
+        waiter = threading.Thread(target=sync_b)
+        waiter.start()
+        assert not synced.wait(0.2)  # b's synchronize waits for ev
+        gate.set()
+        waiter.join(timeout=5.0)
+        assert synced.is_set() and ev.done
+        backend.synchronize()
+        backend.shutdown()
+
+    def test_waits_from_racing_submitters_still_order_their_ops(self):
+        # Four threads each pair a wait on an upstream op with a submit on
+        # one shared stream.  Whichever op carries a wait, FIFO order must
+        # still run every op after the event its submitter waited on.
+        import sys
+
+        backend = ThreadBackend()
+        shared = backend.stream("shared")
+        ups = [backend.stream(f"up{k}") for k in range(4)]
+        violations = []
+
+        def submitter(k):
+            for j in range(50):
+                ev = ups[k].submit(f"up{k}[{j}]", "h2d", lambda: None)
+                shared.wait_event(ev)
+                shared.submit(
+                    f"op{k}[{j}]", "fft",
+                    lambda ev=ev: ev.done or violations.append(ev.name),
+                )
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(k,)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            backend.synchronize()
+        finally:
+            sys.setswitchinterval(old)
+            backend.shutdown()
+        assert violations == []
+
+
 class TestSyncWaitSemantics:
     def test_sync_wait_on_pending_event_is_an_error(self):
         class Pending:

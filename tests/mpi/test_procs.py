@@ -219,6 +219,35 @@ class TestCrossBackendSolverDeterminism:
         finally:
             comm.close()
 
+    def test_pre_kernel_dtype_probed_once(self, monkeypatch):
+        # The calling process learns each fused pre kernel's output dtype
+        # from a tiny probe FFT; after the first step every probe is
+        # memoised, so it runs no line transform of its own at all.
+        from repro.spectral import random_isotropic_field
+        from repro.spectral.workspace import LineTransforms
+
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, np.random.default_rng(3), energy=1.0)
+        comm = ProcsComm(2)
+        try:
+            solver = DistributedNavierStokesSolver(
+                grid, comm, u0, SolverConfig(nu=0.02)
+            )
+            solver.step(0.25 * grid.dx)
+            calls = []
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                raw = getattr(LineTransforms, name)
+
+                def counted(self, *args, _raw=raw, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _raw(self, *args, **kwargs)
+
+                monkeypatch.setattr(LineTransforms, name, counted)
+            solver.step(0.25 * grid.dx)
+            assert calls == []
+        finally:
+            comm.close()
+
     def test_bit_identical_under_fault_plan(self):
         """One seeded CommFaultPlan profile on both backends.
 

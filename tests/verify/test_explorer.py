@@ -170,3 +170,35 @@ class TestWatchdog:
         with pytest.raises(KeyboardInterrupt):
             with watchdog(30.0):
                 raise KeyboardInterrupt  # a real ^C, not the watchdog
+
+    def test_untimed_wait_is_interrupted(self):
+        # A true hang: an untimed wait nobody will ever end.  Run in a
+        # child process under a hard ceiling, so a watchdog that cannot
+        # interrupt the wait fails this test instead of hanging the suite.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import threading, time\n"
+            "from repro.verify import DeadlockTimeout, watchdog\n"
+            "t0 = time.monotonic()\n"
+            "try:\n"
+            "    with watchdog(0.2, label='untimed wait'):\n"
+            "        threading.Event().wait()\n"
+            "except DeadlockTimeout:\n"
+            "    print(f'fired {time.monotonic() - t0:.2f}')\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=20,
+        )
+        assert out.returncode == 0, out.stderr
+        fired = out.stdout.split()
+        assert fired[0] == "fired" and float(fired[1]) < 5.0

@@ -33,8 +33,7 @@ from repro.verify.watchdog import DeadlockTimeout, watchdog
 class _WedgedFaultPlan(CommFaultPlan):
     """A fault plan that *hangs* instead of raising — the bug class the
     watchdog exists for.  ``check`` blocks on an event nobody ever sets;
-    the wait is interruptible on the main thread, which is how
-    ``interrupt_main`` reaches it."""
+    the watchdog's ``SIGINT`` interrupts that wait on the main thread."""
 
     def __init__(self):
         super().__init__()
@@ -44,9 +43,8 @@ class _WedgedFaultPlan(CommFaultPlan):
         if self.armed:
             never = threading.Event()
             while True:
-                # Timeout-sliced like the real backends' waits: an untimed
-                # wait never re-enters the interpreter, so interrupt_main
-                # could not reach it.
+                # Timeout-sliced; the untimed case is covered by
+                # test_explorer's TestWatchdog.
                 never.wait(0.05)
 
 
